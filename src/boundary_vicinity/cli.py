@@ -31,7 +31,13 @@ from .pipeline import (
     write_scores_json,
 )
 from .temporal import bin_events, control_series, detect_spikes
-from .walker import WalkConfig
+from .walker import (
+    DEFAULT_MAX_BATCHES,
+    DEFAULT_PSRF_HIGH,
+    DEFAULT_PSRF_LOW,
+    DEFAULT_WALKNUM,
+    WalkConfig,
+)
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -42,6 +48,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+class UsageError(Exception):
+    pass
 
 
 class InputError(Exception):
@@ -130,22 +140,23 @@ def _read_events(path: str, g: Graph) -> list[tuple[int, int]]:
 
 
 def _walk_config(args) -> WalkConfig:
-    return WalkConfig(
-        walknum=args.walknum,
-        stepnum=args.stepnum,
-        psrf_low=args.psrf_low,
-        psrf_high=args.psrf_high,
-        max_batches=args.max_batches,
-        seed=args.seed,
-    )
+    try:
+        return WalkConfig(
+            walknum=args.walknum,
+            stepnum=args.stepnum,
+            psrf_low=args.psrf_low,
+            psrf_high=args.psrf_high,
+            max_batches=args.max_batches,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_pipeline(args) -> int:
+    walk = _walk_config(args)
     g = _load_graph(args.input)
-    result = run_pipeline(
-        g, seed=args.seed, q_threshold=args.q_threshold,
-        walk=_walk_config(args), threads=args.threads,
-    )
+    result = run_pipeline(g, seed=args.seed, q_threshold=args.q_threshold, walk=walk)
     out = _out_dir(args)
     with open(out / "scores.csv", "w") as handle:
         write_scores_csv(result, handle)
@@ -333,13 +344,13 @@ def cmd_temporal(args) -> int:
 
 
 def _add_walk_flags(parser):
-    parser.add_argument("--walknum", type=int, default=50,
-                        help="walkers per convergence batch (default 50)")
+    parser.add_argument("--walknum", type=int, default=DEFAULT_WALKNUM,
+                        help="walkers per convergence batch (default %(default)s)")
     parser.add_argument("--stepnum", type=int, default=None,
                         help="steps per walk (default: derived from graph size)")
-    parser.add_argument("--psrf-low", type=float, default=0.95)
-    parser.add_argument("--psrf-high", type=float, default=1.05)
-    parser.add_argument("--max-batches", type=int, default=20)
+    parser.add_argument("--psrf-low", type=float, default=DEFAULT_PSRF_LOW)
+    parser.add_argument("--psrf-high", type=float, default=DEFAULT_PSRF_HIGH)
+    parser.add_argument("--max-batches", type=int, default=DEFAULT_MAX_BATCHES)
 
 
 def build_parser() -> _Parser:
@@ -357,7 +368,8 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--q-threshold", type=float, default=DEFAULT_Q_THRESHOLD)
     _add_walk_flags(p)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; scoring runs on one thread")
     p.add_argument("--format", choices=("csv", "json", "dot"), default="csv")
     p.add_argument("--unconverged-tolerance", type=float, default=0.0,
                    help="max tolerated fraction of unconverged boundary nodes")
@@ -423,6 +435,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

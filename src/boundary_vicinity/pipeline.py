@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence, TextIO
 
 from . import __version__
@@ -22,7 +22,7 @@ from .community import (
     modularity,
 )
 from .graph import Graph, connected_components, subgraph
-from .walker import VisitScores, WalkConfig, bva, default_step_count
+from .walker import VisitScores, WalkConfig, bva
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,8 @@ class PipelineResult:
     components: list[ComponentReport]
     bset: BoundarySet
     scores: VisitScores
-    stepnum: int
     seed: int
     q_threshold: float
-    walk: WalkConfig
-    threads: int
     elapsed_seconds: float = 0.0
 
     @property
@@ -122,21 +119,16 @@ def run_pipeline(
     seed: int = 0,
     q_threshold: float = DEFAULT_Q_THRESHOLD,
     walk: WalkConfig | None = None,
-    threads: int = 1,
 ) -> PipelineResult:
-    """Full scoring run over a loaded graph."""
+    """Full scoring run over a loaded graph; ``walk`` defaults to WalkConfig(seed=seed)."""
     start = time.perf_counter()
     cfg = walk if walk is not None else WalkConfig(seed=seed)
     labeling, reports = detect_all_communities(g, seed=seed, q_threshold=q_threshold)
     bset = boundary_edges(g, labeling)
-    stepnum = cfg.stepnum if cfg.stepnum is not None else (
-        default_step_count(g.num_nodes) if g.num_nodes >= 2 else 1
-    )
-    scores = bva(g, labeling, bset, cfg, threads=threads)
+    scores = bva(g, labeling, bset, cfg)
     return PipelineResult(
         graph=g, labeling=labeling, components=reports, bset=bset,
-        scores=scores, stepnum=stepnum, seed=seed, q_threshold=q_threshold,
-        walk=cfg, threads=threads,
+        scores=scores, seed=seed, q_threshold=q_threshold,
         elapsed_seconds=time.perf_counter() - start,
     )
 
@@ -145,18 +137,16 @@ def run_pipeline(
 # artifact writers
 
 
-def _params_comment(result: PipelineResult) -> str:
-    cfg = result.walk
-    return (
-        f"# seed={result.seed} q_threshold={result.q_threshold} "
-        f"walknum={cfg.walknum} stepnum={result.stepnum} "
-        f"psrf_low={cfg.psrf_low} psrf_high={cfg.psrf_high} "
-        f"max_batches={cfg.max_batches}\n"
-    )
+def _run_params(result: PipelineResult) -> dict:
+    """Pipeline seed and threshold, then every resolved walk parameter but its seed."""
+    walk = asdict(result.scores.walk)
+    del walk["seed"]
+    return {"seed": result.seed, "q_threshold": result.q_threshold, **walk}
 
 
 def write_scores_csv(result: PipelineResult, stream: TextIO) -> None:
-    stream.write(_params_comment(result))
+    params = " ".join(f"{k}={v}" for k, v in _run_params(result).items())
+    stream.write(f"# {params}\n")
     stream.write("node_id,raw_score,normalized_score\n")
     g = result.graph
     for v in range(g.num_nodes):
@@ -169,13 +159,7 @@ def write_scores_csv(result: PipelineResult, stream: TextIO) -> None:
 def write_scores_json(result: PipelineResult, stream: TextIO) -> None:
     g = result.graph
     payload = {
-        "seed": result.seed,
-        "q_threshold": result.q_threshold,
-        "walknum": result.walk.walknum,
-        "stepnum": result.stepnum,
-        "psrf_low": result.walk.psrf_low,
-        "psrf_high": result.walk.psrf_high,
-        "max_batches": result.walk.max_batches,
+        **_run_params(result),
         "scores": [
             {
                 "node_id": g.name_of(v),
@@ -251,15 +235,7 @@ def build_manifest(result: PipelineResult) -> dict:
         "version": __version__,
         "seed": result.seed,
         "q_threshold": result.q_threshold,
-        "walk": {
-            "walknum": result.walk.walknum,
-            "stepnum": result.stepnum,
-            "psrf_low": result.walk.psrf_low,
-            "psrf_high": result.walk.psrf_high,
-            "max_batches": result.walk.max_batches,
-            "seed": result.walk.seed,
-        },
-        "threads": result.threads,
+        "walk": asdict(scores.walk),
         "graph": {
             "num_nodes": result.graph.num_nodes,
             "num_edges": result.graph.num_edges,

@@ -11,7 +11,6 @@ single score vector over the whole graph.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -78,11 +77,13 @@ class VisitScores:
 
     ``raw`` is the per-walker-normalized, community-size-scaled visit mass;
     ``normalized`` divides by the maximum so the top node scores exactly 1.
+    ``walk`` is the config the run used, with ``stepnum`` resolved.
     ``walkers_used`` and ``converged`` are keyed by boundary node id.
     """
 
     raw: np.ndarray
     normalized: np.ndarray
+    walk: WalkConfig
     walkers_used: dict[int, int] = field(default_factory=dict)
     converged: dict[int, bool] = field(default_factory=dict)
     warning: str | None = None
@@ -234,31 +235,34 @@ def bva(
     labeling: CommunityLabeling,
     bset: BoundarySet,
     cfg: WalkConfig,
-    threads: int = 1,
 ) -> VisitScores:
     """Boundary vicinity scores for every node of ``g``.
 
-    For each boundary node (ascending id) the walk graph is its home
-    community's mask. Converged visit counts are summed, divided by the
-    number of walkers used (so extra batches taken to converge do not
-    inflate mass), scaled by relative community size, and added into the
-    graph-wide score vector. ``normalized`` then divides by the maximum.
+    An unset ``cfg.stepnum`` resolves to ``default_step_count`` of the
+    graph size (1 for a one-node graph); the resolved config comes back as
+    ``VisitScores.walk``. For each boundary node (ascending id) the walk
+    graph is its home community's mask. Converged visit counts are summed,
+    divided by the number of walkers used (so extra batches taken to
+    converge do not inflate mass), scaled by relative community size, and
+    added into the graph-wide score vector. ``normalized`` then divides by
+    the maximum.
 
-    Results are bit-identical for a fixed config regardless of ``threads``:
-    per-walk RNG substreams make each origin's result schedule-independent,
-    and accumulation happens in ascending origin order after all workers
-    finish.
+    Each walk draws from its own RNG substream keyed by (seed, origin,
+    walk index), so an origin's result does not depend on the others.
     """
+    if cfg.stepnum is None:
+        stepnum = default_step_count(g.num_nodes) if g.num_nodes >= 2 else 1
+        cfg = replace(cfg, stepnum=stepnum)
     raw = np.zeros(g.num_nodes)
     if not bset.boundary_nodes:
         return VisitScores(
-            raw=raw, normalized=raw.copy(),
+            raw=raw, normalized=raw.copy(), walk=cfg,
             warning="no boundary nodes: no community structure to bridge",
         )
-    stepnum = cfg.stepnum if cfg.stepnum is not None else default_step_count(g.num_nodes)
-    resolved = replace(cfg, stepnum=stepnum)
 
     masks: dict[int, tuple[Graph, dict[int, int], np.ndarray]] = {}
+    walkers_used: dict[int, int] = {}
+    converged: dict[int, bool] = {}
     for node in bset.boundary_nodes:
         c = bset.home_community[node]
         if c not in masks:
@@ -267,31 +271,15 @@ def bva(
             for old, new in mapping.items():
                 old_of_new[new] = old
             masks[c] = (mask, mapping, old_of_new)
-
-    def score_origin(node: int) -> tuple[np.ndarray, int, bool]:
-        mask, mapping, _ = masks[bset.home_community[node]]
-        batch = run_converged_walks(mask, mapping[node], resolved, stream_id=node)
+        mask, mapping, old_of_new = masks[c]
+        batch = run_converged_walks(mask, mapping[node], cfg, stream_id=node)
         per_walker = batch.visits.sum(axis=0) / batch.num_walks
-        scaled = scale_community_weights(per_walker, mask.num_nodes, g.num_nodes)
-        return scaled, batch.num_walks, batch.converged
-
-    origins = list(bset.boundary_nodes)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(score_origin, origins))
-    else:
-        results = [score_origin(node) for node in origins]
-
-    walkers_used: dict[int, int] = {}
-    converged: dict[int, bool] = {}
-    for node, (scaled, used, ok) in zip(origins, results):
-        _, _, old_of_new = masks[bset.home_community[node]]
-        raw[old_of_new] += scaled
-        walkers_used[node] = used
-        converged[node] = ok
+        raw[old_of_new] += scale_community_weights(per_walker, mask.num_nodes, g.num_nodes)
+        walkers_used[node] = batch.num_walks
+        converged[node] = batch.converged
     peak = raw.max()
     normalized = raw / peak if peak > 0 else raw.copy()
     return VisitScores(
-        raw=raw, normalized=normalized,
+        raw=raw, normalized=normalized, walk=cfg,
         walkers_used=walkers_used, converged=converged,
     )

@@ -55,6 +55,18 @@ def test_pipeline_scores_csv_embeds_parameters(bridge_file, tmp_path):
     assert "stepnum=" in header
 
 
+def test_pipeline_one_node_graph_walks_one_step(tmp_path):
+    path = tmp_path / "one.edges"
+    path.write_text("a a\n")  # the self-loop is dropped, leaving one node
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(path), "--out", str(out)]) == 0
+    header = (out / "scores.csv").read_text().splitlines()[0]
+    assert " stepnum=1 " in header
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["graph"]["num_nodes"] == 1
+    assert manifest["walk"]["stepnum"] == 1
+
+
 def test_pipeline_edgeless_graph_warns_with_zero_scores(tmp_path, capsys):
     path = tmp_path / "edgeless.edges"
     # self-loops only: nodes exist, no usable edges
@@ -231,6 +243,7 @@ def test_usage_error_exit_code():
     assert main([]) == 1
     assert main(["pipeline"]) == 1  # missing --input
     assert main(["no-such-command"]) == 1
+    assert main(["pipeline", "--input", "unused.edges", "--walknum", "2"]) == 1
 
 
 def test_missing_input_exit_code(tmp_path):
