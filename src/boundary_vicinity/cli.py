@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -335,7 +336,7 @@ def cmd_temporal(args) -> int:
         spikes = detect_spikes(counts, z_threshold=args.z_threshold)
         report["series"][label] = {
             "spike_windows": list(spikes.spike_windows),
-            "zscores": [z if z != float("inf") else "inf" for z in spikes.zscores],
+            "zscores": [z if math.isfinite(z) else str(z) for z in spikes.zscores],
         }
     with open(out / "spikes.json", "w") as handle:
         json.dump(report, handle, indent=2)

@@ -115,7 +115,7 @@ def _one_level(level: _LevelGraph, rng: np.random.Generator, min_gain: float) ->
             tot[ci] -= k_i
             stay_gain = links[ci] / m - tot[ci] * k_i / (2.0 * m * m)
             best_comm, best_gain = ci, stay_gain
-            for c in sorted(links):
+            for c in links:
                 if c == ci:
                     continue
                 gain = links[c] / m - tot[c] * k_i / (2.0 * m * m)
@@ -183,6 +183,11 @@ def detect_communities(
     Node visit order is shuffled by ``seed``; given the same graph and seed
     the result is identical run to run. Disconnected graphs are accepted.
 
+    Louvain can leave a community in pieces with no edge between them
+    (Traag, Waltman & van Eck 2019). Each connected piece becomes its own
+    community, which never lowers modularity, so every returned community
+    is connected. Labels are numbered by first occurrence in node order.
+
     Raises ValueError for edgeless graphs, where modularity is undefined.
     """
     if g.num_nodes < 1:
@@ -204,18 +209,26 @@ def detect_communities(
             break
         prev_q = q
 
-    # renumber labels by first occurrence for a stable dense labeling
-    renumber: dict[int, int] = {}
-    labels = []
-    for c in assignment:
-        if c not in renumber:
-            renumber[c] = len(renumber)
-        labels.append(renumber[c])
+    # label the connected pieces of each community, in first-occurrence order
+    labels = [-1] * g.num_nodes
+    count = 0
+    for start in range(g.num_nodes):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in g.adjacency[u]:
+                if labels[w] < 0 and assignment[w] == assignment[start]:
+                    labels[w] = count
+                    stack.append(w)
+        count += 1
     final_q = modularity(g, labels)
     return CommunityLabeling(
         labels=tuple(labels),
         modularity=final_q,
-        num_communities=len(renumber),
+        num_communities=count,
         passes=len(trace),
         quality_trace=tuple(trace),
     )

@@ -120,7 +120,7 @@ def run_pipeline(
     q_threshold: float = DEFAULT_Q_THRESHOLD,
     walk: WalkConfig | None = None,
 ) -> PipelineResult:
-    """Full scoring run over a loaded graph; ``walk`` defaults to WalkConfig(seed=seed)."""
+    """Full scoring run over a loaded graph."""
     start = time.perf_counter()
     cfg = walk if walk is not None else WalkConfig(seed=seed)
     labeling, reports = detect_all_communities(g, seed=seed, q_threshold=q_threshold)

@@ -107,8 +107,8 @@ def detect_spikes(series: Sequence[float], z_threshold: float = 3.0) -> SpikeRep
     The score is (x - median) / (1.4826 * MAD), which the spike itself
     cannot inflate the way a mean/std baseline would. Degenerate rule: when
     MAD is zero (over half the windows share one value), any deviation from
-    the median is infinitely many scale units away, so every deviating
-    window is flagged with an infinite score.
+    the median is infinitely many scale units away, so windows above the
+    median score +inf and are flagged, and windows below it score -inf.
     """
     values = np.asarray(series, dtype=float)
     if len(values) < 5:
@@ -116,12 +116,10 @@ def detect_spikes(series: Sequence[float], z_threshold: float = 3.0) -> SpikeRep
     median = float(np.median(values))
     mad = float(np.median(np.abs(values - median)))
     if mad == 0.0:
-        deviating = values != median
-        zscores = np.where(deviating, np.inf, 0.0)
-        spikes = np.flatnonzero(deviating)
+        zscores = np.select([values > median, values < median], [np.inf, -np.inf], 0.0)
     else:
         zscores = (values - median) / (MAD_SCALE * mad)
-        spikes = np.flatnonzero(zscores >= z_threshold)
+    spikes = np.flatnonzero(zscores >= z_threshold)
     return SpikeReport(
         spike_windows=tuple(int(w) for w in spikes),
         zscores=tuple(float(z) for z in zscores),

@@ -11,7 +11,9 @@ from boundary_vicinity import (
     build_graph,
     community_mask,
     detect_communities,
+    erdos_renyi,
     modularity,
+    preferential_attachment,
 )
 
 
@@ -139,6 +141,21 @@ def test_detect_trace_nondecreasing(karate):
 def test_detect_accepts_disconnected(two_triangles_disjoint):
     labeling = detect_communities(two_triangles_disjoint, seed=0)
     assert labeling.num_communities == 2
+
+
+@pytest.mark.parametrize("kind", ["er", "pa"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_detect_communities_are_connected(kind, seed):
+    """Louvain can strand pieces of a community; each piece gets its own label."""
+    if kind == "er":
+        g = erdos_renyi(300, 0.02, seed=seed)
+    else:
+        g = preferential_attachment(300, 2, seed=seed)
+    labeling = detect_communities(g, seed=seed)
+    nxg = to_networkx(g)
+    for c in range(labeling.num_communities):
+        members = [v for v in range(g.num_nodes) if labeling.labels[v] == c]
+        assert nx.is_connected(nxg.subgraph(members)), (kind, seed, c)
 
 
 def test_detect_errors_on_edgeless():

@@ -101,6 +101,9 @@ def test_spikes_robust_zscore_case():
 def test_spikes_downward_deviation_not_flagged():
     report = detect_spikes([10, 12, 9, 11, 10, 1, 9, 10])
     assert 5 not in report.spike_windows
+    report = detect_spikes([10, 10, 10, 1, 10, 10])  # MAD is 0
+    assert report.spike_windows == ()
+    assert report.zscores[3] == -math.inf
 
 
 def test_spikes_indices_ascending_and_thresholded():
