@@ -1,4 +1,4 @@
-"""Louvain community detection, modularity, and per-community edge masks."""
+"""Louvain community detection, modularity, and the community-confined walk graph."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, subgraph
+# subgraph is not called here; bench/tracing.py wraps it as a community attribute
+from .graph import Graph, build_graph, subgraph
 
 DEFAULT_MIN_MODULARITY_GAIN = 1e-7
 # Partitions scoring below this are usually indistinguishable from noise;
@@ -234,16 +235,12 @@ def detect_communities(
     )
 
 
-def community_mask(
-    g: Graph, labeling: CommunityLabeling, c: int
-) -> tuple[Graph, dict[int, int]]:
-    """Subgraph of community ``c`` containing only its internal edges.
+def community_mask(g: Graph, labeling: CommunityLabeling) -> Graph:
+    """The walk graph: ``g`` without its cross-community edges, in ``g``'s node ids.
 
-    Edges with one endpoint outside the community are removed, so members
-    whose links all cross community lines appear as isolated nodes. Returns
-    the masked graph and the old-to-new id mapping.
+    A walk on it never leaves its start's community. Members whose links
+    all cross community lines become isolated nodes.
     """
-    if not (0 <= c < labeling.num_communities):
-        raise ValueError(f"unknown community id {c}")
-    members = [v for v in range(g.num_nodes) if labeling.labels[v] == c]
-    return subgraph(g, members)
+    labels = labeling.labels
+    kept = [(u, v) for u, v in g.edges if labels[u] == labels[v]]
+    return build_graph(g.num_nodes, kept, names=g.names)

@@ -58,9 +58,14 @@ class WalkConfig:
 
 @dataclass
 class WalkBatch:
-    """Accumulated walks from one origin: one visit-count row per walker."""
+    """Accumulated walks from one origin: one visit-count row per walker.
 
-    visits: np.ndarray  # shape (num_walks, mask nodes), nonnegative ints
+    Columns cover only the visited nodes, named by ``nodes`` in ascending
+    order; every other node's count is zero in every row.
+    """
+
+    visits: np.ndarray  # shape (num_walks, len(nodes)), nonnegative ints
+    nodes: np.ndarray  # ascending node ids, one per column of visits
     origin: int
     converged: bool = True
     psrf_value: float = 1.0
@@ -105,14 +110,14 @@ def default_step_count(n: int) -> int:
     return max(2, value)
 
 
-def _walk_rng(seed: int, stream_id: int, walk_index: int) -> np.random.Generator:
+def _walk_rng(seed: int, origin: int, walk_index: int) -> np.random.Generator:
     """Counter-keyed generator: one independent stream per individual walk.
 
     Scheduling cannot perturb results because a walk's randomness depends
-    only on (seed, stream id, walk index), never on execution order.
+    only on (seed, origin, walk index), never on execution order.
     """
     key = np.array(
-        [seed % (1 << 64), ((stream_id & 0xFFFFFFFF) << 32) | (walk_index & 0xFFFFFFFF)],
+        [seed % (1 << 64), ((origin & 0xFFFFFFFF) << 32) | (walk_index & 0xFFFFFFFF)],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
@@ -121,25 +126,23 @@ def _walk_rng(seed: int, stream_id: int, walk_index: int) -> np.random.Generator
 def random_walk(
     mask: Graph, start: int, stepnum: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """One truncated walk: count the start once, then each step's node once.
+    """One truncated walk: the start, then the node each step lands on.
 
     Every step moves to a uniformly random neighbor. A node with no
-    neighbors in the walk graph ends the walk early, so the row sum lies in
-    [1, stepnum + 1].
+    neighbors in the walk graph ends the walk early, so the path holds
+    1 to stepnum + 1 nodes.
     """
     if not (0 <= start < mask.num_nodes):
         raise ValueError(f"start node {start} not in walk graph")
-    visits = np.zeros(mask.num_nodes, dtype=np.int64)
-    visits[start] = 1
+    path = [start]
     current = start
-    draws = rng.random(stepnum)
-    for u in draws:
+    for u in rng.random(stepnum):
         neighbors = mask.adjacency[current]
         if not neighbors:
             break
         current = neighbors[int(u * len(neighbors))]
-        visits[current] += 1
-    return visits
+        path.append(current)
+    return np.array(path, dtype=np.int64)
 
 
 def psrf(batch: WalkBatch, num_chains: int) -> float:
@@ -171,48 +174,38 @@ def psrf(batch: WalkBatch, num_chains: int) -> float:
     return float(np.sqrt(pooled / within[active]).max())
 
 
-def run_converged_walks(
-    mask: Graph,
-    start: int,
-    cfg: WalkConfig,
-    stream_id: int | None = None,
-) -> WalkBatch:
+def _count_visits(paths: list[np.ndarray], origin: int) -> WalkBatch:
+    """Visit counts per walk over the nodes the paths touch."""
+    nodes, column = np.unique(np.concatenate(paths), return_inverse=True)
+    row = np.repeat(np.arange(len(paths)), [len(p) for p in paths])
+    visits = np.bincount(row * len(nodes) + column, minlength=len(paths) * len(nodes))
+    return WalkBatch(visits=visits.reshape(len(paths), len(nodes)), nodes=nodes, origin=origin)
+
+
+def run_converged_walks(mask: Graph, start: int, cfg: WalkConfig) -> WalkBatch:
     """Accumulate walk batches from ``start`` until the diagnostic settles.
 
     After each batch of ``cfg.walknum`` walks the diagnostic runs over all
     walks so far, split into two equal arrival-order chains (an odd
     trailing walk is left out of the split). Returns once the value falls
     inside the convergence window, or after ``cfg.max_batches`` batches
-    with ``converged=False``.
-
-    ``stream_id`` names the RNG substream and defaults to ``start``;
-    callers running many origins against different masks pass a globally
-    unique id to keep streams distinct.
+    with ``converged=False``. Walk w draws from the substream keyed by
+    (``cfg.seed``, ``start``, w).
     """
     if cfg.stepnum is None:
         raise ValueError("stepnum unresolved; set WalkConfig.stepnum")
-    sid = start if stream_id is None else stream_id
-    rows: list[np.ndarray] = []
-    value = math.inf
-    batches = 0
-    while batches < cfg.max_batches:
-        base = len(rows)
-        for w in range(cfg.walknum):
-            rng = _walk_rng(cfg.seed, sid, base + w)
-            rows.append(random_walk(mask, start, cfg.stepnum, rng))
-        batches += 1
-        usable = len(rows) - (len(rows) % 2)
-        probe = WalkBatch(visits=np.stack(rows[:usable]), origin=start)
-        value = psrf(probe, 2)
-        if cfg.psrf_low <= value <= cfg.psrf_high:
-            return WalkBatch(
-                visits=np.stack(rows), origin=start,
-                converged=True, psrf_value=value, batches=batches,
-            )
-    return WalkBatch(
-        visits=np.stack(rows), origin=start,
-        converged=False, psrf_value=value, batches=batches,
-    )
+    paths: list[np.ndarray] = []
+    for batches in range(1, cfg.max_batches + 1):
+        for _ in range(cfg.walknum):
+            rng = _walk_rng(cfg.seed, start, len(paths))
+            paths.append(random_walk(mask, start, cfg.stepnum, rng))
+        batch = _count_visits(paths, start)
+        usable = len(paths) - (len(paths) % 2)
+        value = psrf(replace(batch, visits=batch.visits[:usable]), 2)
+        converged = cfg.psrf_low <= value <= cfg.psrf_high
+        if converged:
+            break
+    return replace(batch, converged=converged, psrf_value=value, batches=batches)
 
 
 def scale_community_weights(
@@ -240,12 +233,13 @@ def bva(
 
     An unset ``cfg.stepnum`` resolves to ``default_step_count`` of the
     graph size (1 for a one-node graph); the resolved config comes back as
-    ``VisitScores.walk``. For each boundary node (ascending id) the walk
-    graph is its home community's mask. Converged visit counts are summed,
-    divided by the number of walkers used (so extra batches taken to
-    converge do not inflate mass), scaled by relative community size, and
-    added into the graph-wide score vector. ``normalized`` then divides by
-    the maximum.
+    ``VisitScores.walk``. All walks run on one walk graph, ``g`` without
+    its cross-community edges (``community_mask``), so a walk stays in its
+    origin's community and node ids stay global. For each boundary node
+    (ascending id) the converged visit counts are summed, divided by the
+    number of walkers used (so extra batches taken to converge do not
+    inflate mass), scaled by relative community size, and added into the
+    graph-wide score vector. ``normalized`` then divides by the maximum.
 
     Each walk draws from its own RNG substream keyed by (seed, origin,
     walk index), so an origin's result does not depend on the others.
@@ -260,21 +254,15 @@ def bva(
             warning="no boundary nodes: no community structure to bridge",
         )
 
-    masks: dict[int, tuple[Graph, dict[int, int], np.ndarray]] = {}
+    mask = community_mask(g, labeling)
+    sizes = np.bincount(labeling.labels)
     walkers_used: dict[int, int] = {}
     converged: dict[int, bool] = {}
     for node in bset.boundary_nodes:
-        c = bset.home_community[node]
-        if c not in masks:
-            mask, mapping = community_mask(g, labeling, c)
-            old_of_new = np.empty(mask.num_nodes, dtype=np.int64)
-            for old, new in mapping.items():
-                old_of_new[new] = old
-            masks[c] = (mask, mapping, old_of_new)
-        mask, mapping, old_of_new = masks[c]
-        batch = run_converged_walks(mask, mapping[node], cfg, stream_id=node)
+        batch = run_converged_walks(mask, node, cfg)
         per_walker = batch.visits.sum(axis=0) / batch.num_walks
-        raw[old_of_new] += scale_community_weights(per_walker, mask.num_nodes, g.num_nodes)
+        size = int(sizes[bset.home_community[node]])
+        raw[batch.nodes] += scale_community_weights(per_walker, size, g.num_nodes)
         walkers_used[node] = batch.num_walks
         converged[node] = batch.converged
     peak = raw.max()

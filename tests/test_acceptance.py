@@ -171,7 +171,7 @@ def test_criterion_5_walker_correctness():
             expected, second = enumerate_visit_moments(g, 0, stepnum)
             total = np.zeros(g.num_nodes)
             for _ in range(walks):
-                total += random_walk(g, 0, stepnum, rng)
+                total += np.bincount(random_walk(g, 0, stepnum, rng), minlength=g.num_nodes)
             mean = total / walks
             sigma = np.sqrt(np.maximum(second - expected**2, 0.0))
             band = 3.0 * sigma / np.sqrt(walks)
@@ -194,15 +194,14 @@ def test_criterion_5_walker_correctness():
     violations = 0
     walk_rng = np.random.default_rng(7)
     stepnum = 20
+    mask = community_mask(g, labeling)
     while steps_checked < 1_000_000:
         for b in bset.boundary_nodes:
             home = bset.home_community[b]
-            mask, mapping = community_mask(g, labeling, home)
-            back = {new: old for old, new in mapping.items()}
-            visits = random_walk(mask, mapping[b], stepnum, walk_rng)
-            steps_checked += int(visits.sum()) - 1
-            for new in np.flatnonzero(visits):
-                if labeling.labels[back[int(new)]] != home:
+            path = random_walk(mask, b, stepnum, walk_rng)
+            steps_checked += len(path) - 1
+            for v in np.unique(path):
+                if labeling.labels[v] != home:
                     violations += 1
     ok = violations == 0
     report(5, ok,
@@ -214,17 +213,17 @@ def test_criterion_5_walker_correctness():
 def test_criterion_6_psrf_formula():
     rng = np.random.default_rng(0)
     group = rng.integers(0, 5, size=(100, 3))
-    identical_groups = WalkBatch(visits=np.vstack([group, group]), origin=0)
+    identical_groups = WalkBatch(visits=np.vstack([group, group]), nodes=np.arange(3), origin=0)
     b_zero = psrf(identical_groups, 2)
     b_zero_ok = abs(b_zero - math.sqrt(99 / 100)) <= 1e-12
 
-    constant = WalkBatch(visits=np.tile([2, 1, 0], (40, 1)), origin=0)
+    constant = WalkBatch(visits=np.tile([2, 1, 0], (40, 1)), nodes=np.arange(3), origin=0)
     degenerate = psrf(constant, 2)
     degenerate_ok = degenerate == 1.0
 
     low = rng.normal(0.0, 0.01, size=(50, 2))
     high = rng.normal(10.0, 0.01, size=(50, 2))
-    divergent = psrf(WalkBatch(visits=np.vstack([low, high]), origin=0), 2)
+    divergent = psrf(WalkBatch(visits=np.vstack([low, high]), nodes=np.arange(2), origin=0), 2)
     divergent_ok = divergent > 1.05
 
     ok = b_zero_ok and degenerate_ok and divergent_ok

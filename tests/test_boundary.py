@@ -64,11 +64,7 @@ def test_label_permutation_invariance(karate):
 def test_masks_plus_boundary_partition_edges(karate):
     labeling = detect_communities(karate, seed=3)
     bset = boundary_edges(karate, labeling)
-    mask_edges = set()
-    for c in range(labeling.num_communities):
-        mask, mapping = community_mask(karate, labeling, c)
-        back = {new: old for old, new in mapping.items()}
-        mask_edges |= {(back[u], back[v]) for u, v in mask.edges}
+    mask_edges = set(community_mask(karate, labeling).edges)
     cross = set(bset.boundary_edges)
     assert mask_edges.isdisjoint(cross)
     assert {tuple(sorted(e)) for e in mask_edges | cross} == set(karate.edges)

@@ -166,10 +166,11 @@ def test_detect_errors_on_edgeless():
 def test_mask_excludes_cross_edge(two_triangles_bridged):
     labeling = detect_communities(two_triangles_bridged, seed=0)
     c_left = labeling.labels[0]
-    mask, mapping = community_mask(two_triangles_bridged, labeling, c_left)
-    assert mask.num_nodes == 3
-    assert mask.num_edges == 3
-    assert set(mapping) == {0, 1, 2}
+    mask = community_mask(two_triangles_bridged, labeling)
+    assert mask.num_nodes == 6
+    assert (2, 3) not in mask.edges
+    left = [e for e in mask.edges if labeling.labels[e[0]] == c_left]
+    assert left == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_mask_whole_graph_single_community(karate):
@@ -180,9 +181,9 @@ def test_mask_whole_graph_single_community(karate):
     single = CommunityLabeling(
         labels=(0,) * karate.num_nodes, modularity=0.0, num_communities=1
     )
-    mask, mapping = community_mask(karate, single, 0)
-    assert mask.num_edges == karate.num_edges
-    assert mapping == {v: v for v in range(karate.num_nodes)}
+    mask = community_mask(karate, single)
+    assert mask.edges == karate.edges
+    assert mask.adjacency == karate.adjacency
 
 
 def test_mask_cross_only_community_keeps_isolated_nodes():
@@ -193,22 +194,13 @@ def test_mask_cross_only_community_keeps_isolated_nodes():
     labeling = CommunityLabeling(
         labels=(0, 1, 1, 1), modularity=0.0, num_communities=2
     )
-    mask, _ = community_mask(g, labeling, 1)
-    assert mask.num_nodes == 3
+    mask = community_mask(g, labeling)
+    assert mask.num_nodes == 4
     assert mask.num_edges == 0
-
-
-def test_mask_unknown_community(karate):
-    labeling = detect_communities(karate, seed=0)
-    with pytest.raises(ValueError):
-        community_mask(karate, labeling, labeling.num_communities)
 
 
 def test_masks_and_boundary_partition_edge_set(karate):
     labeling = detect_communities(karate, seed=2)
     bset = boundary_edges(karate, labeling)
-    mask_edges = 0
-    for c in range(labeling.num_communities):
-        mask, _ = community_mask(karate, labeling, c)
-        mask_edges += mask.num_edges
-    assert mask_edges + len(bset.boundary_edges) == karate.num_edges
+    mask = community_mask(karate, labeling)
+    assert mask.num_edges + len(bset.boundary_edges) == karate.num_edges

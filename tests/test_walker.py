@@ -24,6 +24,7 @@ from boundary_vicinity import (
     run_converged_walks,
     scale_community_weights,
 )
+from boundary_vicinity.walker import _walk_rng
 
 
 def enumerate_visit_moments(mask, start, stepnum):
@@ -67,22 +68,22 @@ def test_default_step_count_rejects_tiny():
 
 def test_walk_isolated_start_terminates():
     g = build_graph(3, [(1, 2)])
-    visits = random_walk(g, 0, 10, np.random.default_rng(0))
-    assert visits.tolist() == [1, 0, 0]
+    path = random_walk(g, 0, 10, np.random.default_rng(0))
+    assert path.tolist() == [0]
 
 
 def test_walk_two_node_graph_deterministic():
     g = build_graph(2, [(0, 1)])
-    visits = random_walk(g, 0, 3, np.random.default_rng(0))
-    assert visits.tolist() == [2, 2]
+    path = random_walk(g, 0, 3, np.random.default_rng(0))
+    assert path.tolist() == [0, 1, 0, 1]
 
 
 def test_walk_triangle_mass():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     rng = np.random.default_rng(1)
     for _ in range(50):
-        visits = random_walk(g, 0, 2, rng)
-        assert visits.sum() == 3  # start + 2 steps, no dead ends
+        path = random_walk(g, 0, 2, rng)
+        assert len(path) == 3  # start + 2 steps, no dead ends
 
 
 def test_walk_mass_bound_with_dead_ends():
@@ -90,8 +91,8 @@ def test_walk_mass_bound_with_dead_ends():
     g = build_graph(4, [(0, 1), (1, 2)])
     rng = np.random.default_rng(2)
     for _ in range(100):
-        visits = random_walk(g, 0, 5, rng)
-        assert 1 <= visits.sum() <= 6
+        path = random_walk(g, 0, 5, rng)
+        assert 1 <= len(path) <= 6
 
 
 def test_walk_start_must_exist():
@@ -108,7 +109,7 @@ def test_walk_sampled_mean_matches_enumeration():
     walks = 20000
     total = np.zeros(4)
     for _ in range(walks):
-        total += random_walk(g, 0, stepnum, rng)
+        total += np.bincount(random_walk(g, 0, stepnum, rng), minlength=4)
     mean = total / walks
     sigma = np.sqrt(np.maximum(second - expected**2, 0.0))
     band = 3.0 * sigma / np.sqrt(walks)
@@ -121,13 +122,13 @@ def test_walk_sampled_mean_matches_enumeration():
 def test_psrf_identical_groups_b_zero():
     rng = np.random.default_rng(0)
     group = rng.integers(0, 5, size=(100, 3))
-    batch = WalkBatch(visits=np.vstack([group, group]), origin=0)
+    batch = WalkBatch(visits=np.vstack([group, group]), nodes=np.arange(3), origin=0)
     n = 100
     assert psrf(batch, 2) == pytest.approx(np.sqrt((n - 1) / n), abs=1e-12)
 
 
 def test_psrf_all_identical_walks_degenerate_one():
-    batch = WalkBatch(visits=np.tile([1, 2, 0], (40, 1)), origin=0)
+    batch = WalkBatch(visits=np.tile([1, 2, 0], (40, 1)), nodes=np.arange(3), origin=0)
     assert psrf(batch, 2) == 1.0
 
 
@@ -135,18 +136,18 @@ def test_psrf_divergent_means_explodes():
     rng = np.random.default_rng(1)
     low = rng.normal(0.0, 0.01, size=(50, 2))
     high = rng.normal(10.0, 0.01, size=(50, 2))
-    batch = WalkBatch(visits=np.vstack([low, high]), origin=0)
+    batch = WalkBatch(visits=np.vstack([low, high]), nodes=np.arange(2), origin=0)
     assert psrf(batch, 2) > 1.05
 
 
 def test_psrf_validates_grouping():
-    batch = WalkBatch(visits=np.zeros((10, 2)), origin=0)
+    batch = WalkBatch(visits=np.zeros((10, 2)), nodes=np.arange(2), origin=0)
     with pytest.raises(ValueError):
         psrf(batch, 1)
     with pytest.raises(ValueError):
         psrf(batch, 3)  # 10 walks not divisible into 3 chains
     with pytest.raises(ValueError):
-        psrf(WalkBatch(visits=np.zeros((2, 2)), origin=0), 2)  # chains of 1
+        psrf(WalkBatch(visits=np.zeros((2, 2)), nodes=np.arange(2), origin=0), 2)  # chains of 1
 
 
 def test_converged_walks_isolated_origin_one_batch():
@@ -155,7 +156,8 @@ def test_converged_walks_isolated_origin_one_batch():
     assert batch.converged
     assert batch.batches == 1
     assert batch.num_walks == 10
-    assert np.all(batch.visits[:, 0] == 1)
+    assert batch.nodes.tolist() == [0]
+    assert batch.visits.tolist() == [[1]] * 10
 
 
 def test_converged_walks_two_node_deterministic_one_batch():
@@ -163,7 +165,25 @@ def test_converged_walks_two_node_deterministic_one_batch():
     batch = run_converged_walks(g, 0, WalkConfig(walknum=8, stepnum=3, seed=0))
     assert batch.converged
     assert batch.batches == 1
+    assert batch.nodes.tolist() == [0, 1]
     assert np.all(batch.visits == [2, 2])
+
+
+def test_walk_batch_columns_are_the_visited_nodes():
+    # two steps from 0 reach only 0, 1 and 2; nodes 3 to 6 get no column
+    g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)])
+    cfg = WalkConfig(walknum=8, stepnum=2, seed=11)
+    batch = run_converged_walks(g, 0, cfg)
+    paths = [
+        random_walk(g, 0, cfg.stepnum, _walk_rng(cfg.seed, 0, w))
+        for w in range(batch.num_walks)
+    ]
+    dense = np.array([np.bincount(p, minlength=g.num_nodes) for p in paths])
+    assert np.all(np.diff(batch.nodes) > 0)
+    assert np.all(batch.visits.sum(axis=0) > 0)
+    assert batch.visits.sum(axis=1).tolist() == [len(p) for p in paths]
+    assert np.array_equal(batch.visits, dense[:, batch.nodes])
+    assert not dense[:, np.setdiff1d(np.arange(g.num_nodes), batch.nodes)].any()
 
 
 def test_converged_walks_er_fixed_seed_regression():
@@ -175,6 +195,7 @@ def test_converged_walks_er_fixed_seed_regression():
     assert batch.num_walks == 150  # frozen from the first verified run
     again = run_converged_walks(g, 0, cfg)
     assert again.num_walks == batch.num_walks
+    assert np.array_equal(again.nodes, batch.nodes)
     assert np.array_equal(again.visits, batch.visits)
 
 
@@ -319,13 +340,12 @@ def test_bva_scores_match_enumeration_oracle(two_triangles_bridged):
     )
     bset = boundary_edges(g, labeling)
     stepnum = 2
+    mask = community_mask(g, labeling)
     oracle = np.zeros(6)
     for b in bset.boundary_nodes:
-        mask, mapping = community_mask(g, labeling, bset.home_community[b])
-        expected, _ = enumerate_visit_moments(mask, mapping[b], stepnum)
-        back = {new: old for old, new in mapping.items()}
-        for new, value in enumerate(expected):
-            oracle[back[new]] += value * mask.num_nodes / g.num_nodes
+        expected, _ = enumerate_visit_moments(mask, b, stepnum)
+        size = labeling.labels.count(bset.home_community[b])
+        oracle += expected * size / g.num_nodes
     scores = bva(g, labeling, bset, WalkConfig(walknum=4000, stepnum=stepnum, seed=1))
     assert np.allclose(scores.raw, oracle, atol=0.02)
     assert set(np.argsort(-oracle)[:2]) == {2, 3}
