@@ -32,16 +32,10 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    edges = []
-    if n > 1:
-        draws = rng.random(n * (n - 1) // 2)
-        idx = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if draws[idx] < p:
-                    edges.append((u, v))
-                idx += 1
-    return build_graph(n, edges)
+    # one draw per pair, in row-major (u, v > u) order
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(len(u)) < p
+    return build_graph(n, zip(u[keep].tolist(), v[keep].tolist()))
 
 
 def preferential_attachment(n: int, m: int, seed: int = 0) -> Graph:

@@ -175,13 +175,14 @@ def write_scores_json(result: PipelineResult, stream: TextIO) -> None:
 
 def write_scores_dot(g: Graph, normalized: Sequence[float], stream: TextIO) -> None:
     """Graphviz export with node sizes scaled by normalized score."""
+    ids = [g.name_of(v).replace('"', '\\"') for v in range(g.num_nodes)]
     stream.write("graph boundary_vicinity {\n")
     stream.write("  node [shape=circle, fixedsize=true];\n")
     for v in range(g.num_nodes):
         width = 0.25 + 0.75 * float(normalized[v])
-        stream.write(f'  "{g.name_of(v)}" [width={width:.4f}];\n')
+        stream.write(f'  "{ids[v]}" [width={width:.4f}];\n')
     for u, v in g.edges:
-        stream.write(f'  "{g.name_of(u)}" -- "{g.name_of(v)}";\n')
+        stream.write(f'  "{ids[u]}" -- "{ids[v]}";\n')
     stream.write("}\n")
 
 
@@ -239,6 +240,8 @@ def build_manifest(result: PipelineResult) -> dict:
         "graph": {
             "num_nodes": result.graph.num_nodes,
             "num_edges": result.graph.num_edges,
+            "self_loops_dropped": result.graph.self_loops_dropped,
+            "duplicates_dropped": result.graph.duplicates_dropped,
         },
         "components": [
             {

@@ -174,14 +174,6 @@ def psrf(batch: WalkBatch, num_chains: int) -> float:
     return float(np.sqrt(pooled / within[active]).max())
 
 
-def _count_visits(paths: list[np.ndarray], origin: int) -> WalkBatch:
-    """Visit counts per walk over the nodes the paths touch."""
-    nodes, column = np.unique(np.concatenate(paths), return_inverse=True)
-    row = np.repeat(np.arange(len(paths)), [len(p) for p in paths])
-    visits = np.bincount(row * len(nodes) + column, minlength=len(paths) * len(nodes))
-    return WalkBatch(visits=visits.reshape(len(paths), len(nodes)), nodes=nodes, origin=origin)
-
-
 def run_converged_walks(mask: Graph, start: int, cfg: WalkConfig) -> WalkBatch:
     """Accumulate walk batches from ``start`` until the diagnostic settles.
 
@@ -199,7 +191,11 @@ def run_converged_walks(mask: Graph, start: int, cfg: WalkConfig) -> WalkBatch:
         for _ in range(cfg.walknum):
             rng = _walk_rng(cfg.seed, start, len(paths))
             paths.append(random_walk(mask, start, cfg.stepnum, rng))
-        batch = _count_visits(paths, start)
+        # visit counts per walk, over the visited nodes only
+        nodes, column = np.unique(np.concatenate(paths), return_inverse=True)
+        row = np.repeat(np.arange(len(paths)), [len(p) for p in paths])
+        visits = np.bincount(row * len(nodes) + column, minlength=len(paths) * len(nodes))
+        batch = WalkBatch(visits.reshape(len(paths), len(nodes)), nodes, start)
         usable = len(paths) - (len(paths) % 2)
         value = psrf(replace(batch, visits=batch.visits[:usable]), 2)
         converged = cfg.psrf_low <= value <= cfg.psrf_high

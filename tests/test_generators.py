@@ -30,6 +30,18 @@ def test_er_edge_count_matches_binomial_moments():
     assert abs(mean - 247.5) <= 3 * sigma
 
 
+@pytest.mark.parametrize("n,p,seed", [
+    (1, 0.5, 0), (2, 1.0, 3), (100, 0.06, 5), (300, 0.02, 0), (50, 0.0, 1), (50, 1.0, 2),
+])
+def test_er_matches_pair_loop_definition(n, p, seed):
+    # one uniform draw per pair (u, v), u < v, taken in row-major order
+    draws = iter(np.random.default_rng(seed).random(n * (n - 1) // 2))
+    expected = [(u, v) for u in range(n) for v in range(u + 1, n) if next(draws) < p]
+    g = erdos_renyi(n, p, seed=seed)
+    assert g.edges == tuple(expected)
+    assert g.adjacency == build_graph(n, expected).adjacency
+
+
 def test_er_deterministic():
     assert erdos_renyi(50, 0.1, seed=7).edges == erdos_renyi(50, 0.1, seed=7).edges
 

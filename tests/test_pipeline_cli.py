@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from boundary_vicinity import detect_all_communities, load_edge_list, run_pipeline
 from boundary_vicinity.cli import main
+from boundary_vicinity.pipeline import write_scores_dot
 
 BRIDGE = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n"
 
@@ -65,6 +67,17 @@ def test_pipeline_one_node_graph_walks_one_step(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["graph"]["num_nodes"] == 1
     assert manifest["walk"]["stepnum"] == 1
+
+
+def test_manifest_counts_dropped_self_loops_and_duplicates(tmp_path):
+    path = tmp_path / "dirty.edges"
+    path.write_text(BRIDGE + "4 4\n1 0\n")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(path), "--out", str(out),
+                 "--seed", "3", "--q-threshold", "0.2"]) == 0
+    graph = json.loads((out / "manifest.json").read_text())["graph"]
+    assert graph == {"num_nodes": 6, "num_edges": 7,
+                     "self_loops_dropped": 1, "duplicates_dropped": 1}
 
 
 def test_pipeline_edgeless_graph_warns_with_zero_scores(tmp_path, capsys):
@@ -148,6 +161,12 @@ def test_pipeline_dot_export(bridge_file, tmp_path):
     assert dot.startswith("graph")
     assert '"2" [width=1.0000];' in dot or '"3" [width=1.0000];' in dot
     assert '"2" -- "3";' in dot
+    # a quote inside a token is escaped, so the quoted DOT id stays valid
+    quoted = load_edge_list(['a"x b\n'])
+    buffer = io.StringIO()
+    write_scores_dot(quoted, [1.0, 0.5], buffer)
+    assert '"a\\"x" [width=1.0000];' in buffer.getvalue()
+    assert '"a\\"x" -- "b";' in buffer.getvalue()
 
 
 def test_components_command(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from boundary_vicinity import (
+    CommunityLabeling,
     WalkBatch,
     WalkConfig,
     boundary_edges,
@@ -19,6 +20,8 @@ from boundary_vicinity import (
     default_step_count,
     detect_communities,
     erdos_renyi,
+    modularity,
+    preferential_attachment,
     psrf,
     random_walk,
     run_converged_walks,
@@ -349,3 +352,52 @@ def test_bva_scores_match_enumeration_oracle(two_triangles_bridged):
     scores = bva(g, labeling, bset, WalkConfig(walknum=4000, stepnum=stepnum, seed=1))
     assert np.allclose(scores.raw, oracle, atol=0.02)
     assert set(np.argsort(-oracle)[:2]) == {2, 3}
+
+
+def test_bva_matches_exact_expectation_at_scale():
+    """Scores on 3000 nodes against the exact expected score.
+
+    E[raw] = sum_b |c_b|/N * sum_{t=0..stepnum} delta_b P_c^t, where P_c is
+    the random-walk matrix of the intra-community edges; it is computed
+    here by stepnum mat-vecs over the edge list, apart from the engine. A
+    node's score sums, over the walks of every origin b in its community,
+    visit counts in [0, ceil((stepnum + 1) / 2)] (a walk never stays put)
+    weighted |c_b|/N / n_b, with n_b = walkers_used[b]; Hoeffding's
+    inequality bounds its error at each of the N nodes with probability
+    1e-3 of a false alarm in all.
+    """
+    parts = [preferential_attachment(1000, 3, seed=i) for i in range(3)]
+    planted = connect_communities(parts, k=40, seed=0)
+    g = planted.graph
+    labeling = CommunityLabeling(
+        labels=planted.planted_labels,
+        modularity=modularity(g, planted.planted_labels),
+        num_communities=3,
+    )
+    bset = boundary_edges(g, labeling)
+    scores = bva(g, labeling, bset, WalkConfig(walknum=400, seed=0))
+    n, stepnum = g.num_nodes, scores.walk.stepnum
+
+    labels = np.array(labeling.labels)
+    edges = np.array(g.edges)
+    inside = edges[labels[edges[:, 0]] == labels[edges[:, 1]]]
+    src = np.concatenate([inside[:, 0], inside[:, 1]])
+    dst = np.concatenate([inside[:, 1], inside[:, 0]])
+    degree = np.bincount(src, minlength=n)
+    origins = np.array(bset.boundary_nodes)
+    share = np.bincount(labels)[labels[origins]] / n
+    mass = np.bincount(origins, weights=share, minlength=n)
+    expected = mass.copy()
+    for _ in range(stepnum):
+        mass = np.bincount(dst, weights=mass[src] / degree[src], minlength=n)
+        expected += mass
+
+    used = np.array([scores.walkers_used[b] for b in bset.boundary_nodes])
+    spread = np.bincount(labels[origins], weights=share**2 / used, minlength=3)[labels]
+    bound = (stepnum + 2) // 2 * np.sqrt(spread * np.log(2 * n / 1e-3) / 2)
+    assert bound.max() < expected.max()  # the check can fail
+    assert np.all(np.abs(scores.raw - expected) <= bound)
+    assert not np.any(scores.raw[expected == 0])
+    # no origin is a dead end, so every walk takes all stepnum steps
+    assert degree[origins].min() > 0
+    assert scores.raw.sum() == pytest.approx(expected.sum(), rel=1e-12)
