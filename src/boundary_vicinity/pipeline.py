@@ -261,6 +261,8 @@ def build_manifest(result: PipelineResult) -> dict:
         "num_boundary_nodes": len(result.bset.boundary_nodes),
         "walkers_used": {str(k): v for k, v in scores.walkers_used.items()},
         "converged": {str(k): v for k, v in scores.converged.items()},
+        "batches": {str(k): v for k, v in scores.batches.items()},
+        "psrf": {str(k): v for k, v in scores.psrf.items()},
         "unconverged_fraction": result.unconverged_fraction,
         "warning": scores.warning,
         "elapsed_seconds": result.elapsed_seconds,

@@ -5,14 +5,16 @@ never leave the node's own community (edges crossing community lines are
 absent from the walk graph). Batches accumulate until the per-node visit
 counts pass a Gelman-Rubin style convergence window, then the counts are
 normalized per walker, scaled by relative community size, and merged into a
-single score vector over the whole graph.
+single score vector over the whole graph. The engine runs in rounds: round k
+draws batch k of every origin still running, all walks at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +26,13 @@ DEFAULT_WALKNUM = 50
 DEFAULT_MAX_BATCHES = 20
 DEFAULT_PSRF_LOW = 0.95
 DEFAULT_PSRF_HIGH = 1.05
+
+# Philox4x64-10 multipliers and key increments (Salmon et al., SC'11), as in numpy
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,8 @@ class VisitScores:
     ``raw`` is the per-walker-normalized, community-size-scaled visit mass;
     ``normalized`` divides by the maximum so the top node scores exactly 1.
     ``walk`` is the config the run used, with ``stepnum`` resolved.
-    ``walkers_used`` and ``converged`` are keyed by boundary node id.
+    ``walkers_used``, ``converged``, ``batches`` and ``psrf`` (the last
+    diagnostic value) are keyed by boundary node id.
     """
 
     raw: np.ndarray
@@ -91,6 +101,8 @@ class VisitScores:
     walk: WalkConfig
     walkers_used: dict[int, int] = field(default_factory=dict)
     converged: dict[int, bool] = field(default_factory=dict)
+    batches: dict[int, int] = field(default_factory=dict)
+    psrf: dict[int, float] = field(default_factory=dict)
     warning: str | None = None
 
 
@@ -128,9 +140,11 @@ def random_walk(
 ) -> np.ndarray:
     """One truncated walk: the start, then the node each step lands on.
 
-    Every step moves to a uniformly random neighbor. A node with no
-    neighbors in the walk graph ends the walk early, so the path holds
-    1 to stepnum + 1 nodes.
+    Every step moves to a uniformly random neighbor. Only a start with no
+    neighbors in the walk graph ends the walk early: a step along an
+    undirected edge lands on a node that has at least the neighbor it came
+    from. So the path holds either 1 or stepnum + 1 nodes. This is the
+    one-walk definition that the round engine reproduces.
     """
     if not (0 <= start < mask.num_nodes):
         raise ValueError(f"start node {start} not in walk graph")
@@ -174,34 +188,135 @@ def psrf(batch: WalkBatch, num_chains: int) -> float:
     return float(np.sqrt(pooled / within[active]).max())
 
 
-def run_converged_walks(mask: Graph, start: int, cfg: WalkConfig) -> WalkBatch:
-    """Accumulate walk batches from ``start`` until the diagnostic settles.
+def _walk_uniforms(
+    seed: int, origins: np.ndarray, walks: np.ndarray, stepnum: int
+) -> np.ndarray:
+    """``_walk_rng(seed, origin, w).random(stepnum)`` for many walks at once.
 
-    After each batch of ``cfg.walknum`` walks the diagnostic runs over all
-    walks so far, split into two equal arrival-order chains (an odd
-    trailing walk is left out of the split). Returns once the value falls
-    inside the convergence window, or after ``cfg.max_batches`` batches
-    with ``converged=False``. Walk w draws from the substream keyed by
-    (``cfg.seed``, ``start``, w).
+    One row per (origin, walk) pair. This is numpy's Philox4x64-10 written
+    out over arrays: walk w of ``origin`` is keyed
+    [seed mod 2^64, (origin mod 2^32) << 32 | (w mod 2^32)], its j-th
+    block of four words enciphers the counter j (from 1), and a word x
+    gives the double (x >> 11) * 2^-53. The 64-bit products are taken from
+    32-bit halves, so no intermediate overflows.
+    """
+    keyed = ((np.asarray(origins).astype(np.uint64) & _LOW32) << _SHIFT32) | (
+        np.asarray(walks).astype(np.uint64) & _LOW32
+    )
+    blocks = -(-stepnum // 4)
+    key = np.repeat(keyed, blocks)
+    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(keyed))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % (1 << 64))
+        k1 = key + np.uint64(r * _PHILOX_W[1] % (1 << 64))
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=1).reshape(len(keyed), 4 * blocks)
+    return (words[:, :stepnum] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * b."""
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    low_low = a_lo * b_lo
+    high_low = a_hi * b_lo
+    low_high = a_lo * b_hi
+    carry = ((low_low >> _SHIFT32) + (high_low & _LOW32) + (low_high & _LOW32)) >> _SHIFT32
+    high = a_hi * b_hi + (high_low >> _SHIFT32) + (low_high >> _SHIFT32) + carry
+    return high, np.uint64(a) * b
+
+
+def _walk_paths(
+    indptr: np.ndarray, indices: np.ndarray, starts: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """``random_walk`` for many starts at once, one path per row.
+
+    The walk graph is in CSR form (neighbors of v are
+    ``indices[indptr[v]:indptr[v + 1]]``, ascending). No start may be
+    isolated, so every walk takes all its steps.
+    """
+    paths = np.empty((len(starts), uniforms.shape[1] + 1), dtype=np.int64)
+    paths[:, 0] = current = starts
+    for t in range(uniforms.shape[1]):
+        first = indptr[current]
+        degree = indptr[current + 1] - first
+        current = indices[first + (uniforms[:, t] * degree).astype(np.int64)]
+        paths[:, t + 1] = current
+    return paths
+
+
+def _visit_counts(paths: np.ndarray, origin: int) -> WalkBatch:
+    """Visit counts per walk (row of ``paths``), over the visited nodes only."""
+    nodes, column = np.unique(paths.ravel(), return_inverse=True)
+    row = np.repeat(np.arange(len(paths)), paths.shape[1])
+    visits = np.bincount(row * len(nodes) + column, minlength=len(paths) * len(nodes))
+    return WalkBatch(visits.reshape(len(paths), len(nodes)), nodes, origin)
+
+
+def _walk_rounds(
+    mask: Graph, starts: Sequence[int], cfg: WalkConfig
+) -> Iterator[tuple[int, WalkBatch]]:
+    """Converged walk batches from every start, in rounds.
+
+    Round k draws batch k (walks (k-1)·walknum to k·walknum - 1) of every
+    start still running, all in one call. Then each of those starts counts
+    visits over all its walks so far and runs the diagnostic on them, split
+    into two equal arrival-order chains (an odd trailing walk is left out of
+    the split). A start stops once the value falls inside the convergence
+    window, or after ``cfg.max_batches`` batches with ``converged=False``;
+    the engine then yields (its position in ``starts``, its batch). Walk w
+    of start s draws what ``_walk_rng(cfg.seed, s, w)`` draws, so a start's
+    batch does not depend on the other starts.
     """
     if cfg.stepnum is None:
         raise ValueError("stepnum unresolved; set WalkConfig.stepnum")
-    paths: list[np.ndarray] = []
+    degree = np.fromiter(map(len, mask.adjacency), dtype=np.int64, count=mask.num_nodes)
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    indices = np.fromiter(chain.from_iterable(mask.adjacency), dtype=np.int64,
+                          count=int(indptr[-1]))
+    starts = np.asarray(starts, dtype=np.int64)
+    outside = starts[(starts < 0) | (starts >= mask.num_nodes)]
+    if len(outside):
+        raise ValueError(f"start node {outside[0]} not in walk graph")
+    # an isolated start's walks are [start]; every other walk takes all steps
+    width = np.where(degree[starts] > 0, cfg.stepnum + 1, 1)
+    paths = [np.empty((0, w), dtype=np.int64) for w in width]
+    active = np.arange(len(starts))
     for batches in range(1, cfg.max_batches + 1):
-        for _ in range(cfg.walknum):
-            rng = _walk_rng(cfg.seed, start, len(paths))
-            paths.append(random_walk(mask, start, cfg.stepnum, rng))
-        # visit counts per walk, over the visited nodes only
-        nodes, column = np.unique(np.concatenate(paths), return_inverse=True)
-        row = np.repeat(np.arange(len(paths)), [len(p) for p in paths])
-        visits = np.bincount(row * len(nodes) + column, minlength=len(paths) * len(nodes))
-        batch = WalkBatch(visits.reshape(len(paths), len(nodes)), nodes, start)
-        usable = len(paths) - (len(paths) % 2)
-        value = psrf(replace(batch, visits=batch.visits[:usable]), 2)
-        converged = cfg.psrf_low <= value <= cfg.psrf_high
-        if converged:
-            break
-    return replace(batch, converged=converged, psrf_value=value, batches=batches)
+        origin = np.repeat(starts[active], cfg.walknum)
+        walk = np.tile(np.arange((batches - 1) * cfg.walknum, batches * cfg.walknum),
+                       len(active))
+        steps = np.repeat(origin[:, None], cfg.stepnum + 1, axis=1)
+        moving = degree[origin] > 0
+        uniforms = _walk_uniforms(cfg.seed, origin[moving], walk[moving], cfg.stepnum)
+        steps[moving] = _walk_paths(indptr, indices, origin[moving], uniforms)
+        running = []
+        for j, i in enumerate(active.tolist()):
+            block = steps[j * cfg.walknum:(j + 1) * cfg.walknum, :width[i]]
+            paths[i] = np.concatenate([paths[i], block])
+            batch = _visit_counts(paths[i], int(starts[i]))
+            usable = batch.num_walks - batch.num_walks % 2
+            value = psrf(replace(batch, visits=batch.visits[:usable]), 2)
+            converged = cfg.psrf_low <= value <= cfg.psrf_high
+            if converged or batches == cfg.max_batches:
+                yield i, replace(batch, converged=converged, psrf_value=value,
+                                 batches=batches)
+            else:
+                running.append(i)
+        if not running:
+            return
+        active = np.array(running)
+
+
+def run_converged_walks(mask: Graph, start: int, cfg: WalkConfig) -> WalkBatch:
+    """Accumulate walk batches from ``start`` until the diagnostic settles.
+
+    The round engine run for one start; see ``_walk_rounds``.
+    """
+    return next(_walk_rounds(mask, [start], cfg))[1]
 
 
 def scale_community_weights(
@@ -237,8 +352,10 @@ def bva(
     inflate mass), scaled by relative community size, and added into the
     graph-wide score vector. ``normalized`` then divides by the maximum.
 
-    Each walk draws from its own RNG substream keyed by (seed, origin,
-    walk index), so an origin's result does not depend on the others.
+    All origins walk together in rounds (``_walk_rounds``), and each walk
+    draws from its own RNG substream keyed by (seed, origin, walk index),
+    so an origin's result does not depend on the others or on when it
+    settles.
     """
     if cfg.stepnum is None:
         stepnum = default_step_count(g.num_nodes) if g.num_nodes >= 2 else 1
@@ -252,18 +369,27 @@ def bva(
 
     mask = community_mask(g, labeling)
     sizes = np.bincount(labeling.labels)
+    origins = bset.boundary_nodes
+    # each origin's scaled mass and diagnostics, kept without its visit rows
+    settled: list = [None] * len(origins)
+    for i, batch in _walk_rounds(mask, origins, cfg):
+        per_walker = batch.visits.sum(axis=0) / batch.num_walks
+        size = int(sizes[bset.home_community[origins[i]]])
+        settled[i] = (batch.nodes, scale_community_weights(per_walker, size, g.num_nodes),
+                      batch.num_walks, batch.converged, batch.batches, batch.psrf_value)
     walkers_used: dict[int, int] = {}
     converged: dict[int, bool] = {}
-    for node in bset.boundary_nodes:
-        batch = run_converged_walks(mask, node, cfg)
-        per_walker = batch.visits.sum(axis=0) / batch.num_walks
-        size = int(sizes[bset.home_community[node]])
-        raw[batch.nodes] += scale_community_weights(per_walker, size, g.num_nodes)
-        walkers_used[node] = batch.num_walks
-        converged[node] = batch.converged
+    batches: dict[int, int] = {}
+    last_psrf: dict[int, float] = {}
+    for node, (nodes, mass, walkers, ok, rounds, value) in zip(origins, settled):
+        raw[nodes] += mass
+        walkers_used[node] = walkers
+        converged[node] = ok
+        batches[node] = rounds
+        last_psrf[node] = value
     peak = raw.max()
     normalized = raw / peak if peak > 0 else raw.copy()
     return VisitScores(
-        raw=raw, normalized=normalized, walk=cfg,
-        walkers_used=walkers_used, converged=converged,
+        raw=raw, normalized=normalized, walk=cfg, walkers_used=walkers_used,
+        converged=converged, batches=batches, psrf=last_psrf,
     )

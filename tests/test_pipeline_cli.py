@@ -46,6 +46,23 @@ def test_pipeline_bridge_ranks_boundary_first(bridge_file, tmp_path):
     assert all(manifest["converged"].values())
 
 
+def test_manifest_records_batches_and_psrf_per_origin(tmp_path):
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    assert main(["generate", "planted", "--n", "100", "--p", "0.06", "--k", "26",
+                 "--seed", "0", "--out", str(gen)]) == 0
+    assert main(["pipeline", "--input", str(gen / "graph.edges"), "--out", str(out),
+                 "--seed", "1", "--walknum", "5"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    walknum, used = manifest["walk"]["walknum"], manifest["walkers_used"]
+    low, high = manifest["walk"]["psrf_low"], manifest["walk"]["psrf_high"]
+    assert list(manifest["batches"]) == list(manifest["psrf"]) == list(used)
+    assert len(used) == manifest["num_boundary_nodes"]
+    for node, walkers in used.items():
+        assert manifest["batches"][node] * walknum == walkers
+        assert (low <= manifest["psrf"][node] <= high) == manifest["converged"][node]
+    assert len(set(manifest["batches"].values())) > 1  # origins settle at different batches
+
+
 def test_pipeline_scores_csv_embeds_parameters(bridge_file, tmp_path):
     out = tmp_path / "out"
     main(["pipeline", "--input", str(bridge_file), "--out", str(out),

@@ -15,6 +15,7 @@ from boundary_vicinity import (
     boundary_edges,
     build_graph,
     bva,
+    community_mask,
     connect_communities,
     connected_components,
     default_step_count,
@@ -27,7 +28,7 @@ from boundary_vicinity import (
     run_converged_walks,
     scale_community_weights,
 )
-from boundary_vicinity.walker import _walk_rng
+from boundary_vicinity.walker import _walk_rng, _walk_uniforms
 
 
 def enumerate_visit_moments(mask, start, stepnum):
@@ -117,6 +118,21 @@ def test_walk_sampled_mean_matches_enumeration():
     sigma = np.sqrt(np.maximum(second - expected**2, 0.0))
     band = 3.0 * sigma / np.sqrt(walks)
     assert np.all(np.abs(mean - expected) <= band + 1e-12)
+
+
+@pytest.mark.parametrize("stepnum", [1, 4, 5, 9])
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+def test_walk_uniforms_match_per_walk_generators(seed, stepnum):
+    origins = np.array([0, 3, 2**32 + 9, 2**40 + 2**32 + 1, 6000])
+    walks = np.arange(100, 300)  # mid-stream walk ids, as in later batches
+    origin = np.repeat(origins, len(walks))
+    walk = np.tile(walks, len(origins))
+    drawn = _walk_uniforms(seed, origin, walk, stepnum)
+    expected = np.array([
+        _walk_rng(seed, o, w).random(stepnum) for o, w in zip(origin.tolist(), walk.tolist())
+    ])
+    assert drawn.shape == (len(origin), stepnum)
+    assert np.array_equal(drawn, expected)  # bit for bit, not within a tolerance
 
 
 # --- convergence diagnostic ---
@@ -210,6 +226,89 @@ def test_converged_walks_unconverged_is_flagged():
     assert not batch.converged
     assert batch.num_walks == 12  # every batch ran, convergence never reached
     assert batch.batches == 2
+
+
+def loop_converged_walks(mask, start, cfg):
+    """The walk-at-a-time definition: one generator and one random_walk per walk."""
+    paths = []
+    for batches in range(1, cfg.max_batches + 1):
+        for _ in range(cfg.walknum):
+            rng = _walk_rng(cfg.seed, start, len(paths))
+            paths.append(random_walk(mask, start, cfg.stepnum, rng))
+        nodes = np.unique(np.concatenate(paths))
+        visits = np.array([np.bincount(p, minlength=mask.num_nodes)[nodes] for p in paths])
+        usable = len(paths) - len(paths) % 2
+        value = psrf(WalkBatch(visits[:usable], nodes, start), 2)
+        converged = cfg.psrf_low <= value <= cfg.psrf_high
+        if converged:
+            break
+    return WalkBatch(visits, nodes, start, converged, value, batches)
+
+
+UNCONVERGED = dict(max_batches=2, psrf_low=0.999, psrf_high=1.001)
+
+
+def graph_with_isolated_origin():
+    """Two ER communities plus node 60, a singleton community joined to node 0.
+
+    Node 60 is a boundary node with no neighbor in the walk graph, so its
+    walks are [60].
+    """
+    planted = connect_communities(
+        [erdos_renyi(30, 0.2, seed=20 + i) for i in range(2)], k=4, seed=2
+    )
+    g = build_graph(61, list(planted.graph.edges) + [(0, 60)])
+    labels = tuple(planted.planted_labels) + (2,)
+    labeling = CommunityLabeling(labels, modularity(g, labels), 3)
+    return g, labeling, boundary_edges(g, labeling)
+
+
+@pytest.mark.parametrize("cfg", [
+    WalkConfig(walknum=5, stepnum=3, seed=4),
+    WalkConfig(walknum=8, stepnum=5, seed=2**63 + 1),
+    WalkConfig(walknum=6, stepnum=4, seed=0, **UNCONVERGED),
+])
+def test_converged_walks_match_walk_at_a_time_definition(cfg):
+    g, labeling, bset = graph_with_isolated_origin()
+    mask = community_mask(g, labeling)
+    assert 60 in bset.boundary_nodes
+    for start in bset.boundary_nodes:
+        batch = run_converged_walks(mask, start, cfg)
+        expected = loop_converged_walks(mask, start, cfg)
+        assert np.array_equal(batch.nodes, expected.nodes)
+        assert np.array_equal(batch.visits, expected.visits)
+        assert (batch.converged, batch.psrf_value, batch.batches) == (
+            expected.converged, expected.psrf_value, expected.batches)
+
+
+@pytest.mark.parametrize("cfg", [
+    WalkConfig(walknum=5, stepnum=3, seed=4),
+    WalkConfig(walknum=5, stepnum=3, seed=4, **UNCONVERGED),
+])
+def test_bva_rounds_do_not_couple_origins(cfg):
+    """bva walks all origins in rounds; each must get what it gets alone."""
+    g, labeling, bset = graph_with_isolated_origin()
+    mask = community_mask(g, labeling)
+    sizes = np.bincount(labeling.labels)
+    raw = np.zeros(g.num_nodes)
+    walkers_used, converged, batches, last_psrf = {}, {}, {}, {}
+    for node in bset.boundary_nodes:  # ascending, as bva adds them
+        batch = run_converged_walks(mask, node, cfg)
+        per_walker = batch.visits.sum(axis=0) / batch.num_walks
+        size = int(sizes[bset.home_community[node]])
+        raw[batch.nodes] += scale_community_weights(per_walker, size, g.num_nodes)
+        walkers_used[node] = batch.num_walks
+        converged[node] = batch.converged
+        batches[node] = batch.batches
+        last_psrf[node] = batch.psrf_value
+    scores = bva(g, labeling, bset, cfg)
+    assert np.array_equal(scores.raw, raw)
+    assert scores.walkers_used == walkers_used
+    assert scores.converged == converged
+    assert scores.batches == batches
+    assert scores.psrf == last_psrf
+    assert scores.batches[60] == 1 and scores.converged[60]
+    assert len(set(batches.values())) > 1  # origins leave the rounds at different batches
 
 
 def test_converged_walks_requires_concrete_stepnum():
