@@ -203,7 +203,7 @@ def detect_communities(
     while True:
         comm = _one_level(level, rng, min_modularity_gain)
         level, dense = _aggregate(level, comm)
-        assignment = [dense[comm_i] for comm_i in (comm[a] for a in assignment)]
+        assignment = [dense[a] for a in assignment]
         q = _weighted_modularity(level, list(range(level.num_nodes)))
         trace.append(q)
         if q - prev_q < min_modularity_gain:

@@ -138,6 +138,23 @@ def test_detect_trace_nondecreasing(karate):
     assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
 
+def test_detect_modularity_not_below_trace(karate):
+    """The labels are the partition the trace scores, split into connected pieces.
+
+    Splitting a community into pieces with no edge between them never lowers
+    Q, so the returned modularity cannot fall below the last trace value.
+    """
+    cases = [("karate", seed, karate) for seed in range(8)]
+    cases += [("er", seed, erdos_renyi(300, 0.02, seed=seed)) for seed in range(3)]
+    cases += [("pa", seed, preferential_attachment(300, 2, seed=seed)) for seed in range(3)]
+    low = []
+    for name, seed, g in cases:
+        labeling = detect_communities(g, seed=seed)
+        if labeling.modularity < labeling.quality_trace[-1] - 1e-12:
+            low.append((name, seed, labeling.modularity, labeling.quality_trace[-1]))
+    assert low == []
+
+
 def test_detect_accepts_disconnected(two_triangles_disjoint):
     labeling = detect_communities(two_triangles_disjoint, seed=0)
     assert labeling.num_communities == 2

@@ -50,9 +50,11 @@ def test_manifest_records_batches_and_psrf_per_origin(tmp_path):
     gen, out = tmp_path / "gen", tmp_path / "out"
     assert main(["generate", "planted", "--n", "100", "--p", "0.06", "--k", "26",
                  "--seed", "0", "--out", str(gen)]) == 0
-    assert main(["pipeline", "--input", str(gen / "graph.edges"), "--out", str(out),
-                 "--seed", "1", "--walknum", "5"]) == 0
+    code = main(["pipeline", "--input", str(gen / "graph.edges"), "--out", str(out),
+                 "--seed", "1", "--walknum", "5"])
     manifest = json.loads((out / "manifest.json").read_text())
+    # the default --unconverged-tolerance 0 exits 3 as soon as one origin fails to settle
+    assert code == (0 if all(manifest["converged"].values()) else 3)
     walknum, used = manifest["walk"]["walknum"], manifest["walkers_used"]
     low, high = manifest["walk"]["psrf_low"], manifest["walk"]["psrf_high"]
     assert list(manifest["batches"]) == list(manifest["psrf"]) == list(used)
@@ -60,6 +62,8 @@ def test_manifest_records_batches_and_psrf_per_origin(tmp_path):
     for node, walkers in used.items():
         assert manifest["batches"][node] * walknum == walkers
         assert (low <= manifest["psrf"][node] <= high) == manifest["converged"][node]
+        if not manifest["converged"][node]:
+            assert manifest["batches"][node] == manifest["walk"]["max_batches"]
     assert len(set(manifest["batches"].values())) > 1  # origins settle at different batches
 
 
