@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,9 +21,11 @@ DEFAULT_Q_THRESHOLD = 0.3
 class CommunityLabeling:
     """A community assignment: dense per-node labels plus its quality score.
 
-    ``quality_trace`` records modularity after each Louvain pass (one local
-    optimization sweep plus aggregation), so tests can verify the greedy
-    optimization never goes backwards. ``passes`` is its length.
+    ``quality_trace`` records modularity after each Louvain pass (one
+    queue-driven local-move phase plus aggregation), so tests can verify the
+    greedy optimization never goes backwards. ``passes`` is its length.
+    ``local_moves`` counts the nodes popped from the local-move queues,
+    summed over passes.
     """
 
     labels: tuple[int, ...]
@@ -30,6 +33,7 @@ class CommunityLabeling:
     num_communities: int
     passes: int = 0
     quality_trace: tuple[float, ...] = ()
+    local_moves: int = 0
 
 
 def modularity(g: Graph, labels: Sequence[int]) -> float:
@@ -87,52 +91,54 @@ class _LevelGraph:
         return cls(g.num_nodes, weights, [0.0] * g.num_nodes)
 
 
-def _one_level(level: _LevelGraph, rng: np.random.Generator, min_gain: float) -> list[int]:
-    """Greedy local-move phase; returns the per-node community assignment.
+def _one_level(level: _LevelGraph, rng: np.random.Generator) -> tuple[list[int], int]:
+    """Greedy local-move phase; returns each node's community and the number of pops.
 
-    Each sweep visits nodes in a fresh shuffled order and moves a node to
-    the neighboring community with the largest modularity gain (ties go to
-    the lowest community id). Sweeps repeat while they still improve
-    modularity by more than ``min_gain``.
+    This is the fast local move of Leiden (Traag, Waltman & van Eck 2019).
+    Every node starts alone in its community and in a FIFO queue, in an
+    order shuffled by ``rng``. A popped node moves to the neighboring
+    community with the largest modularity gain (ties go to the lowest
+    community id; staying counts as its own community). When it moves,
+    its neighbors outside its new community rejoin the queue unless they
+    are queued already. The phase ends when the queue is empty.
     """
     n = level.num_nodes
     m = level.total_weight
     comm = list(range(n))
     # sum of member strengths per community
     tot = list(level.strength)
-
-    def sweep() -> float:
-        gain_sum = 0.0
-        order = np.arange(n)
-        rng.shuffle(order)
-        for i in order:
-            i = int(i)
-            ci = comm[i]
-            k_i = level.strength[i]
-            # links from i to each adjacent community
-            links: dict[int, float] = {ci: 0.0}
-            for j, w in level.neighbors[i]:
-                links[comm[j]] = links.get(comm[j], 0.0) + w
-            tot[ci] -= k_i
-            stay_gain = links[ci] / m - tot[ci] * k_i / (2.0 * m * m)
-            best_comm, best_gain = ci, stay_gain
-            for c in links:
-                if c == ci:
-                    continue
-                gain = links[c] / m - tot[c] * k_i / (2.0 * m * m)
-                if gain > best_gain or (gain == best_gain and c < best_comm):
-                    best_comm, best_gain = c, gain
-            tot[best_comm] += k_i
-            if best_comm != ci:
-                comm[i] = best_comm
-                gain_sum += best_gain - stay_gain
-        return gain_sum
-
-    while True:
-        improved = sweep()
-        if improved <= min_gain:
-            break
-    return comm
+    order = np.arange(n)
+    rng.shuffle(order)
+    queue = deque(order.tolist())
+    queued = [True] * n
+    pops = 0
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        pops += 1
+        ci = comm[i]
+        k_i = level.strength[i]
+        # links from i to each adjacent community
+        links: dict[int, float] = {ci: 0.0}
+        for j, w in level.neighbors[i]:
+            links[comm[j]] = links.get(comm[j], 0.0) + w
+        tot[ci] -= k_i
+        best_comm = ci
+        best_gain = links[ci] / m - tot[ci] * k_i / (2.0 * m * m)
+        for c in links:
+            if c == ci:
+                continue
+            gain = links[c] / m - tot[c] * k_i / (2.0 * m * m)
+            if gain > best_gain or (gain == best_gain and c < best_comm):
+                best_comm, best_gain = c, gain
+        tot[best_comm] += k_i
+        if best_comm != ci:
+            comm[i] = best_comm
+            for j, _ in level.neighbors[i]:
+                if not queued[j] and comm[j] != best_comm:
+                    queued[j] = True
+                    queue.append(j)
+    return comm, pops
 
 
 def _aggregate(level: _LevelGraph, comm: list[int]) -> tuple[_LevelGraph, list[int]]:
@@ -179,10 +185,11 @@ def detect_communities(
 ) -> CommunityLabeling:
     """Two-phase greedy Louvain decomposition of ``g``.
 
-    Alternates a local-move sweep phase with community aggregation until a
-    full pass improves modularity by less than ``min_modularity_gain``.
-    Node visit order is shuffled by ``seed``; given the same graph and seed
-    the result is identical run to run. Disconnected graphs are accepted.
+    Alternates a queue-driven local-move phase (see ``_one_level``) with
+    community aggregation until a pass improves modularity by less than
+    ``min_modularity_gain``. Each level's initial queue order is shuffled by
+    ``seed``; given the same graph and seed the result is identical run to
+    run. Disconnected graphs are accepted.
 
     Louvain can leave a community in pieces with no edge between them
     (Traag, Waltman & van Eck 2019). Each connected piece becomes its own
@@ -200,8 +207,10 @@ def detect_communities(
     assignment = list(range(g.num_nodes))
     trace: list[float] = []
     prev_q = _weighted_modularity(level, list(range(level.num_nodes)))
+    local_moves = 0
     while True:
-        comm = _one_level(level, rng, min_modularity_gain)
+        comm, pops = _one_level(level, rng)
+        local_moves += pops
         level, dense = _aggregate(level, comm)
         assignment = [dense[a] for a in assignment]
         q = _weighted_modularity(level, list(range(level.num_nodes)))
@@ -232,6 +241,7 @@ def detect_communities(
         num_communities=count,
         passes=len(trace),
         quality_trace=tuple(trace),
+        local_moves=local_moves,
     )
 
 

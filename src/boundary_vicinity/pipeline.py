@@ -36,6 +36,7 @@ class ComponentReport:
     num_communities: int
     passes: int
     skipped: str | None  # reason, or None when communities were accepted
+    local_moves: int = 0  # Louvain local-move queue pops, summed over passes
 
 
 @dataclass
@@ -77,7 +78,11 @@ def detect_all_communities(
     reports: list[ComponentReport] = []
     next_label = 0
     for index, members in enumerate(parts.components):
-        sub, mapping = subgraph(g, members)
+        if len(members) == g.num_nodes:
+            # the induced subgraph on every node is g itself, in the same order
+            sub, mapping = g, dict(zip(members, members))
+        else:
+            sub, mapping = subgraph(g, members)
         if sub.num_edges == 0:
             for v in members:
                 labels[v] = next_label
@@ -96,6 +101,7 @@ def detect_all_communities(
                 index=index, size=len(members), num_edges=sub.num_edges,
                 modularity=detected.modularity, num_communities=1,
                 passes=detected.passes, skipped="below_q_threshold",
+                local_moves=detected.local_moves,
             ))
             continue
         for old, new in mapping.items():
@@ -106,6 +112,7 @@ def detect_all_communities(
             modularity=detected.modularity,
             num_communities=detected.num_communities,
             passes=detected.passes, skipped=None,
+            local_moves=detected.local_moves,
         ))
     merged_q = modularity(g, labels) if g.num_edges > 0 else 0.0
     merged = CommunityLabeling(
@@ -251,6 +258,7 @@ def build_manifest(result: PipelineResult) -> dict:
                 "modularity": r.modularity,
                 "num_communities": r.num_communities,
                 "passes": r.passes,
+                "local_moves": r.local_moves,
                 "skipped": r.skipped,
             }
             for r in result.components

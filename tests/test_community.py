@@ -155,6 +155,35 @@ def test_detect_modularity_not_below_trace(karate):
     assert low == []
 
 
+def tie_heavy_graphs():
+    """Graphs where many moves tie on modularity gain."""
+    grid = [(r * 6 + c, r * 6 + c + 1) for r in range(6) for c in range(5)]
+    grid += [(r * 6 + c, (r + 1) * 6 + c) for r in range(5) for c in range(6)]
+    ladder = [(i, i + 1) for i in range(19)] + [(20 + i, 21 + i) for i in range(19)]
+    ladder += [(i, 20 + i) for i in range(20)]
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return {
+        "cycle30": build_graph(30, [(i, (i + 1) % 30) for i in range(30)]),
+        "grid6x6": build_graph(36, grid),
+        "k5_5": build_graph(10, [(u, v) for u in range(5) for v in range(5, 10)]),
+        "ladder20": build_graph(40, ladder),
+        "petersen": build_graph(10, petersen),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(tie_heavy_graphs()))
+def test_detect_queue_terminates_on_tie_heavy_graphs(name):
+    """The local-move queue empties, Q never falls, and a seed fixes the labels."""
+    g = tie_heavy_graphs()[name]
+    for seed in range(5):
+        labeling = detect_communities(g, seed=seed)
+        trace = labeling.quality_trace
+        assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:])), (name, seed)
+        assert labeling.local_moves >= g.num_nodes
+        assert detect_communities(g, seed=seed) == labeling, (name, seed)
+
+
 def test_detect_accepts_disconnected(two_triangles_disjoint):
     labeling = detect_communities(two_triangles_disjoint, seed=0)
     assert labeling.num_communities == 2

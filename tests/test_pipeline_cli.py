@@ -5,9 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boundary_vicinity import detect_all_communities, load_edge_list, run_pipeline
+from boundary_vicinity import (
+    build_graph,
+    connected_components,
+    detect_all_communities,
+    detect_communities,
+    load_edge_list,
+    run_pipeline,
+    subgraph,
+)
+from boundary_vicinity import pipeline
 from boundary_vicinity.cli import main
-from boundary_vicinity.pipeline import write_scores_dot
+from boundary_vicinity.pipeline import component_seed, write_scores_dot
 
 BRIDGE = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n"
 
@@ -65,6 +74,56 @@ def test_manifest_records_batches_and_psrf_per_origin(tmp_path):
         if not manifest["converged"][node]:
             assert manifest["batches"][node] == manifest["walk"]["max_batches"]
     assert len(set(manifest["batches"].values())) > 1  # origins settle at different batches
+
+
+def test_manifest_components_record_local_moves(tmp_path):
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    assert main(["generate", "planted", "--n", "100", "--p", "0.06", "--k", "26",
+                 "--seed", "0", "--out", str(gen)]) == 0
+    main(["pipeline", "--input", str(gen / "graph.edges"), "--out", str(out), "--seed", "0"])
+    components = json.loads((out / "manifest.json").read_text())["components"]
+    assert components
+    for report in components:
+        # every node is popped at least once from the first level's queue
+        assert report["local_moves"] >= report["size"]
+
+
+def per_component_labels(g, seed, q_threshold):
+    """Labels as detect_all_communities defines them, every component copied by subgraph."""
+    labels, next_label = [-1] * g.num_nodes, 0
+    for index, members in enumerate(connected_components(g).components):
+        sub, mapping = subgraph(g, members)
+        detected = detect_communities(sub, seed=component_seed(seed, index)) \
+            if sub.num_edges else None
+        if detected is None or detected.modularity < q_threshold:
+            for v in members:
+                labels[v] = next_label
+            next_label += 1
+        else:
+            for old, new in mapping.items():
+                labels[old] = next_label + detected.labels[new]
+            next_label += detected.num_communities
+    return labels
+
+
+def test_detect_all_communities_copies_only_proper_components(karate, monkeypatch):
+    copied = []
+
+    def recording_subgraph(g, nodes):
+        copied.append(len(nodes))
+        return subgraph(g, nodes)
+
+    monkeypatch.setattr(pipeline, "subgraph", recording_subgraph)
+    # karate, then a bridged pair of triangles, an isolated edge and an isolated node
+    shift = karate.num_nodes
+    bridged = [(shift + u, shift + v) for u, v in load_edge_list(io.StringIO(BRIDGE)).edges]
+    several = build_graph(shift + 9, [*karate.edges, *bridged, (shift + 6, shift + 7)])
+    for g, expected_copies in ((karate, []), (several, [34, 6, 2, 1])):
+        copied.clear()
+        for seed in (0, 1, 2):
+            labeling, _ = detect_all_communities(g, seed=seed, q_threshold=0.2)
+            assert list(labeling.labels) == per_component_labels(g, seed, 0.2)
+        assert copied == expected_copies * 3
 
 
 def test_pipeline_scores_csv_embeds_parameters(bridge_file, tmp_path):
