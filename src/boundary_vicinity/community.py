@@ -92,15 +92,12 @@ class _LevelGraph:
 
 
 def _one_level(level: _LevelGraph, rng: np.random.Generator) -> tuple[list[int], int]:
-    """Greedy local-move phase; returns each node's community and the number of pops.
+    """Leiden's fast local move; returns each node's community and the number of pops.
 
-    This is the fast local move of Leiden (Traag, Waltman & van Eck 2019).
-    Every node starts alone in its community and in a FIFO queue, in an
-    order shuffled by ``rng``. A popped node moves to the neighboring
-    community with the largest modularity gain (ties go to the lowest
-    community id; staying counts as its own community). When it moves,
-    its neighbors outside its new community rejoin the queue unless they
-    are queued already. The phase ends when the queue is empty.
+    Nodes start alone, queued in an order shuffled by ``rng``. A popped node
+    moves to the neighboring community with the largest modularity gain (ties
+    go to the lowest community id; staying counts as its own community) and,
+    if it moved, queues its unqueued neighbors outside its new community.
     """
     n = level.num_nodes
     m = level.total_weight
