@@ -76,11 +76,10 @@ def test_manifest_records_batches_and_psrf_per_origin(tmp_path):
     assert len(set(manifest["batches"].values())) > 1  # origins settle at different batches
 
 
-def test_manifest_components_record_local_moves(tmp_path):
-    gen, out = tmp_path / "gen", tmp_path / "out"
-    assert main(["generate", "planted", "--n", "100", "--p", "0.06", "--k", "26",
-                 "--seed", "0", "--out", str(gen)]) == 0
-    main(["pipeline", "--input", str(gen / "graph.edges"), "--out", str(out), "--seed", "0"])
+def test_manifest_components_record_local_moves(bridge_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(bridge_file), "--out", str(out),
+                 "--seed", "3", "--q-threshold", "0.2"]) == 0
     components = json.loads((out / "manifest.json").read_text())["components"]
     assert components
     for report in components:
