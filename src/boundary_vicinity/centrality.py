@@ -11,6 +11,8 @@ import numpy as np
 from .graph import Graph
 
 BRUTEFORCE_NODE_LIMIT = 200
+# betweenness_brandes' sources per block times (nodes + CSR entries)
+_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -44,23 +46,86 @@ def _bfs_counts(g: Graph, source: int) -> tuple[list[int], list[int], list[int],
 
 
 def betweenness_brandes(g: Graph) -> np.ndarray:
-    """Exact betweenness via per-source dependency accumulation.
+    """Exact betweenness via per-source dependency accumulation (Brandes).
 
     For each node v the score is the sum over unordered node pairs (i, j),
     i != v != j, of the fraction of i-j geodesics passing through v.
     Unreachable pairs contribute nothing.
+
+    Sources are taken in blocks of ``_BLOCK_ENTRIES // (n + 2m)`` (at least
+    one), which bounds a block's working set: one source reaches at most n
+    nodes over 2m CSR entries (see ``_block_dependencies``). Each source's
+    dependencies are added into the scores in source order, and every sum
+    runs in the order of a per-source BFS over ascending neighbours, so the
+    result does not depend on the block size. Geodesic counts are float64,
+    exact up to 2^53.
     """
-    scores = np.zeros(g.num_nodes)
-    for s in range(g.num_nodes):
-        order, _, sigma, preds = _bfs_counts(g, s)
-        delta = [0.0] * g.num_nodes
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                scores[w] += delta[w]
+    n = g.num_nodes
+    indptr, indices = g.csr
+    block = max(1, _BLOCK_ENTRIES // max(1, n + len(indices)))
+    scores = np.zeros(n)
+    for first in range(0, n, block):
+        sources = np.arange(first, min(first + block, n))
+        for row in _block_dependencies(indptr, indices, sources):
+            scores += row
     # per-source accumulation counts each unordered pair twice
     return scores / 2.0
+
+
+def _block_dependencies(
+    indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray
+) -> np.ndarray:
+    """Brandes dependencies of every node on each source, one row per source.
+
+    Level-synchronous BFS from all sources at once (Bader & Madduri, ICPP
+    2006). A frontier entry is a (row, node) pair keyed row * n + node, and
+    one gather expands a whole level. Within a row the frontier keeps BFS
+    order: first discovery in (frontier order, ascending neighbour) order.
+    Geodesic counts are summed per level with ``np.bincount``. Going back
+    up, a level's contributions reach ``bincount`` in reversed BFS order of
+    the child, the order in which a per-source loop over the reversed BFS
+    order adds them, so every float sum matches that loop. A source's own
+    entry stays 0.
+    """
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    keys = np.arange(len(sources)) * n + sources
+    # each discovered entry's position in its level's frontier
+    unseen = np.iinfo(np.int64).max
+    place = np.full(len(sources) * n, unseen)
+    place[keys] = np.arange(len(keys))
+    frontiers = [keys]
+    sigma = [np.ones(len(keys))]
+    links = []  # per level below the sources: (parent, child) frontier positions per edge
+    while True:
+        rows, nodes = np.divmod(keys, n)
+        count = degree[nodes]
+        parent = np.repeat(np.arange(len(keys)), count)
+        start = indptr[nodes] - (np.cumsum(count) - count)
+        found = rows[parent] * n + indices[start[parent] + np.arange(len(parent))]
+        fresh = place[found] == unseen
+        if not fresh.any():
+            break
+        parent, found = parent[fresh], found[fresh]
+        edge = np.arange(len(found))
+        np.minimum.at(place, found, edge)
+        keys = found[place[found] == edge]
+        place[keys] = np.arange(len(keys))
+        child = place[found]
+        frontiers.append(keys)
+        sigma.append(np.bincount(child, weights=sigma[-1][parent], minlength=len(keys)))
+        links.append((parent, child))
+    delta = np.zeros((len(sources), n))
+    below = np.zeros(len(frontiers[-1]))
+    for level in range(len(links), 0, -1):
+        parent, child = links[level - 1]
+        # a child's parents are distinct, so only the order between children matters
+        back = np.argsort(child)[::-1]
+        parent, child = parent[back], child[back]
+        share = sigma[level - 1][parent] / sigma[level][child] * (1.0 + below[child])
+        delta.flat[frontiers[level]] = below
+        below = np.bincount(parent, weights=share, minlength=len(frontiers[level - 1]))
+    return delta
 
 
 def betweenness_bruteforce(g: Graph) -> np.ndarray:

@@ -206,6 +206,7 @@ def cmd_communities(args) -> int:
         "num_communities": labeling.num_communities,
         "modularity": labeling.modularity,
         "passes": sum(r.passes for r in reports),
+        "local_moves": sum(r.local_moves for r in reports),
         "seed": args.seed,
         "q_threshold": args.q_threshold,
         "components": len(reports),

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 
 class EdgeListParseError(ValueError):
@@ -23,7 +27,8 @@ class Graph:
     undirected edge once as an (u, v) pair with u < v; ``adjacency`` holds
     a sorted neighbor tuple per node, consistent with ``edges``. ``names``
     maps dense ids back to the original node tokens when the graph was read
-    from a file with non-dense labels.
+    from a file with non-dense labels. ``csr`` is the same adjacency as
+    arrays, built on first use.
     """
 
     num_nodes: int
@@ -36,6 +41,17 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)``, read-only int64: the neighbours of v are
+        ``indices[indptr[v]:indptr[v + 1]]``, in ``adjacency`` order (ascending)."""
+        degree = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=self.num_nodes)
+        indptr = np.concatenate([[0], np.cumsum(degree)])
+        indices = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64,
+                              count=int(indptr[-1]))
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

@@ -182,7 +182,8 @@ def write_scores_json(result: PipelineResult, stream: TextIO) -> None:
 
 def write_scores_dot(g: Graph, normalized: Sequence[float], stream: TextIO) -> None:
     """Graphviz export with node sizes scaled by normalized score."""
-    ids = [g.name_of(v).replace('"', '\\"') for v in range(g.num_nodes)]
+    # a backslash is escaped first, so a token ending in one cannot escape the closing quote
+    ids = [g.name_of(v).replace("\\", "\\\\").replace('"', '\\"') for v in range(g.num_nodes)]
     stream.write("graph boundary_vicinity {\n")
     stream.write("  node [shape=circle, fixedsize=true];\n")
     for v in range(g.num_nodes):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -273,10 +272,8 @@ def _walk_rounds(
     """
     if cfg.stepnum is None:
         raise ValueError("stepnum unresolved; set WalkConfig.stepnum")
-    degree = np.fromiter(map(len, mask.adjacency), dtype=np.int64, count=mask.num_nodes)
-    indptr = np.concatenate([[0], np.cumsum(degree)])
-    indices = np.fromiter(chain.from_iterable(mask.adjacency), dtype=np.int64,
-                          count=int(indptr[-1]))
+    indptr, indices = mask.csr
+    degree = np.diff(indptr)
     starts = np.asarray(starts, dtype=np.int64)
     outside = starts[(starts < 0) | (starts >= mask.num_nodes)]
     if len(outside):

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,11 +9,84 @@ from boundary_vicinity import (
     betweenness_bruteforce,
     boundary_edges,
     build_graph,
+    centrality,
     detect_communities,
+    erdos_renyi,
+    preferential_attachment,
     rank_overlap,
     top_k_nodes,
 )
 from conftest import random_connected_graph
+
+
+def brandes_reference(g):
+    """Brandes one source at a time: a queue BFS over ``g.adjacency``, then
+    dependencies accumulated over the reversed BFS order."""
+    scores = np.zeros(g.num_nodes)
+    for s in range(g.num_nodes):
+        dist = [-1] * g.num_nodes
+        sigma = [0] * g.num_nodes
+        preds = [[] for _ in range(g.num_nodes)]
+        dist[s], sigma[s] = 0, 1
+        order, queue = [], deque([s])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w in g.adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+                if dist[w] == dist[u] + 1:
+                    sigma[w] += sigma[u]
+                    preds[w].append(u)
+        delta = [0.0] * g.num_nodes
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                scores[w] += delta[w]
+    return scores / 2.0
+
+
+def grid_graph(rows, cols):
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return build_graph(rows * cols, right + down)
+
+
+@pytest.fixture(scope="module")
+def exactness_cases(karate):
+    """Graphs with their per-source reference betweenness."""
+    graphs = {"karate": karate, "grid20x20": grid_graph(20, 20),
+              "edgeless": build_graph(7, [])}
+    for seed in range(5):
+        graphs[f"er60-{seed}"] = erdos_renyi(60, 0.04, seed=seed)  # isolated nodes
+    for seed in range(2):
+        graphs[f"pa300-{seed}"] = preferential_attachment(300, 2, seed=seed)
+    return {name: (g, brandes_reference(g)) for name, g in graphs.items()}
+
+
+def sources_per_block(g):
+    return centrality._BLOCK_ENTRIES // (g.num_nodes + 2 * g.num_edges)
+
+
+def test_brandes_bit_identical_to_per_source_loop(exactness_cases):
+    for name, (g, expected) in exactness_cases.items():
+        assert np.array_equal(betweenness_brandes(g), expected), name
+    # the default blocks hold whole small graphs and cut larger ones short
+    blocks = {name: sources_per_block(g) for name, (g, _) in exactness_cases.items()}
+    assert blocks["karate"] > 34
+    assert 1 < blocks["grid20x20"] < 400 and 400 % blocks["grid20x20"] != 0
+    assert 1 < blocks["pa300-0"] < 300 and 300 % blocks["pa300-0"] != 0
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_brandes_does_not_depend_on_block_size(exactness_cases, monkeypatch, block):
+    for name, (g, expected) in exactness_cases.items():
+        monkeypatch.setattr(centrality, "_BLOCK_ENTRIES",
+                            block * (g.num_nodes + 2 * g.num_edges))
+        assert sources_per_block(g) == block
+        assert np.array_equal(betweenness_brandes(g), expected), (name, block)
 
 
 def test_path_graph_middle_node():

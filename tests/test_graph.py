@@ -6,7 +6,9 @@ import pytest
 from boundary_vicinity import (
     EdgeListParseError,
     build_graph,
+    community_mask,
     connected_components,
+    detect_communities,
     load_edge_list,
     subgraph,
     write_edge_list,
@@ -64,6 +66,27 @@ def test_adjacency_consistent_with_edges(karate):
     for neighbors in karate.adjacency:
         assert list(neighbors) == sorted(neighbors)
         assert len(set(neighbors)) == len(neighbors)
+
+
+def test_csr_matches_adjacency(karate):
+    isolated = build_graph(5, [(0, 3), (3, 1), (1, 0)])  # nodes 2 and 4 have no edge
+    walk_graph = community_mask(karate, detect_communities(karate, seed=0))
+    for g in (karate, isolated, walk_graph, build_graph(0, [])):
+        indptr, indices = g.csr
+        assert g.csr is g.csr  # built once
+        assert indptr.dtype == indices.dtype == np.int64
+        assert len(indptr) == g.num_nodes + 1 and indptr[0] == 0
+        assert indptr[-1] == len(indices) == 2 * g.num_edges
+        for v in range(g.num_nodes):
+            row = indices[indptr[v]:indptr[v + 1]]
+            assert tuple(row.tolist()) == g.adjacency[v]
+            assert np.all(np.diff(row) > 0)
+        for array in (indptr, indices):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 7
+    assert isolated.csr[0].tolist() == [0, 2, 4, 4, 6, 6]
+    assert walk_graph.num_edges < karate.num_edges
 
 
 def test_round_trip_preserves_edge_set(karate):

@@ -246,6 +246,12 @@ def test_pipeline_dot_export(bridge_file, tmp_path):
     write_scores_dot(quoted, [1.0, 0.5], buffer)
     assert '"a\\"x" [width=1.0000];' in buffer.getvalue()
     assert '"a\\"x" -- "b";' in buffer.getvalue()
+    # a trailing backslash is escaped too, so it cannot escape the closing quote
+    slashed = load_edge_list(['a\\ b\n'])
+    buffer = io.StringIO()
+    write_scores_dot(slashed, [1.0, 0.5], buffer)
+    assert '"a\\\\" [width=1.0000];' in buffer.getvalue()
+    assert '"a\\\\" -- "b";' in buffer.getvalue()
 
 
 def test_components_command(tmp_path):
@@ -266,6 +272,18 @@ def test_communities_json_summary(bridge_file, tmp_path):
     assert summary["num_communities"] == 2
     assert summary["modularity"] == pytest.approx(0.357, abs=1e-3)
     assert summary["passes"] >= 1
+
+
+def test_communities_json_local_moves_match_manifest(tmp_path):
+    path = tmp_path / "two.edges"
+    path.write_text(BRIDGE + "6 7\n7 8\n8 6\n8 9\n")  # a second component
+    main(["communities", "--input", str(path), "--out", str(tmp_path / "c"), "--seed", "2"])
+    main(["pipeline", "--input", str(path), "--out", str(tmp_path / "p"), "--seed", "2"])
+    summary = json.loads((tmp_path / "c" / "communities.json").read_text())
+    manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+    assert len(manifest["components"]) == summary["components"] == 2
+    assert summary["local_moves"] == sum(r["local_moves"] for r in manifest["components"])
+    assert summary["local_moves"] >= 10
 
 
 def test_betweenness_command_and_oracle_agree(bridge_file, tmp_path):
