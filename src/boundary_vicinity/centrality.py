@@ -170,13 +170,24 @@ def rank_overlap(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> O
     """Proportion of shared members between the two top-k sets, per k.
 
     Symmetric in (a, b) and invariant under strictly monotone transforms of
-    either vector, since only the induced rankings matter.
+    either vector, since only the induced rankings matter. Each vector is
+    ranked once: a node is in both top-k sets exactly when the worse of its
+    two ranks is below k.
     """
     if len(a) != len(b):
         raise ValueError(f"score vectors differ in length: {len(a)} vs {len(b)}")
-    proportions = []
+    n = len(a)
     for k in ks:
-        top_a = set(top_k_nodes(a, k))
-        top_b = set(top_k_nodes(b, k))
-        proportions.append(len(top_a & top_b) / k)
-    return OverlapCurve(ks=tuple(int(k) for k in ks), proportions=tuple(proportions))
+        if not (0 < k <= n):
+            raise ValueError(f"k must be in [1, {n}], got {k}")
+    ranks = []
+    for scores in (a, b):  # the order of top_k_nodes: descending score, then ascending id
+        values = np.asarray(scores, dtype=float)
+        rank = np.empty(n, dtype=np.intp)
+        rank[np.lexsort((np.arange(n), -values))] = np.arange(n)
+        ranks.append(rank)
+    shared = np.cumsum(np.bincount(np.maximum(*ranks), minlength=n))
+    return OverlapCurve(
+        ks=tuple(int(k) for k in ks),
+        proportions=tuple(int(shared[k - 1]) / k for k in ks),
+    )

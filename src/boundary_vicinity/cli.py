@@ -12,6 +12,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .boundary import boundary_edges
 from .centrality import betweenness_brandes, betweenness_bruteforce, rank_overlap
@@ -120,23 +122,48 @@ def _read_scores(path: str) -> dict[str, float]:
     return scores
 
 
-def _read_events(path: str, g: Graph) -> list[tuple[int, int]]:
+def _read_events(path: str, g: Graph) -> np.ndarray:
+    """Load an epoch_seconds,node_id CSV as (N, 2) int64 ``[stamp, node]`` rows in file order."""
     by_name = {g.name_of(v): v for v in range(g.num_nodes)}
-    events = []
+    stamps: list[str] = []
+    nodes: list[int] = []
+    skipped: list[int] = []  # line numbers of blank, comment and header lines
     try:
         with open(path) as handle:
             for line_number, line in enumerate(handle, start=1):
                 text = line.strip()
-                if not text or text.startswith("#") or text == "epoch_seconds,node_id":
+                if not text or text[0] == "#" or text == "epoch_seconds,node_id":
+                    skipped.append(line_number)
                     continue
                 stamp, _, name = text.partition(",")
-                if name not in by_name:
+                node = by_name.get(name)
+                if node is None:
                     raise InputError(f"{path}: line {line_number}: unknown node {name!r}")
-                events.append((int(stamp), by_name[name]))
+                stamps.append(stamp)
+                nodes.append(node)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if not events:
+    if not stamps:
         raise InputError(f"{path}: no events found")
+    events = np.empty((len(stamps), 2), dtype=np.int64)
+    try:
+        events[:, 0] = np.array(stamps, dtype=np.int64)
+    except (ValueError, OverflowError):
+        for index, stamp in enumerate(stamps):  # failure path: find the first bad stamp
+            try:
+                np.array(stamp, dtype=np.int64)
+            except (ValueError, OverflowError):
+                break
+        line_number = index + 1
+        for skip in skipped:  # ascending; each skipped line at or before it moves it one down
+            if skip > line_number:
+                break
+            line_number += 1
+        raise InputError(
+            f"{path}: line {line_number}: timestamp {stamps[index]!r} "
+            "is not a 64-bit integer"
+        ) from None
+    events[:, 1] = nodes
     return events
 
 

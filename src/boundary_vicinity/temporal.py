@@ -38,32 +38,43 @@ class SpikeReport:
 
 
 def bin_events(
-    events: Sequence[tuple[int, int]],
+    events: np.ndarray | Sequence[tuple[int, int]],
     window_seconds: int,
     node_filter: set[int] | None = None,
 ) -> EventSeries:
     """Bin (timestamp, node) events into fixed windows.
 
-    The window span always covers the full event stream, so series produced
-    with different filters line up window for window. ``totals`` counts
-    filtered events per window, ``actives`` distinct filtered nodes.
+    ``events`` is an (N, 2) int64 array of ``[stamp, node]`` rows, or any
+    sequence of such pairs; the order does not matter. The window span
+    always covers the full event stream, so series produced with different
+    filters line up window for window. ``totals`` counts filtered events per
+    window, ``actives`` distinct filtered nodes.
     """
     if window_seconds < 1:
         raise ValueError("window must be at least one second")
     if len(events) == 0:
         raise ValueError("empty event stream")
-    stamps = [int(t) for t, _ in events]
-    t0 = min(stamps)
-    num_windows = (max(stamps) - t0) // window_seconds + 1
-    totals = np.zeros(num_windows, dtype=np.int64)
-    seen: list[set[int]] = [set() for _ in range(num_windows)]
-    for t, node in events:
-        if node_filter is not None and node not in node_filter:
-            continue
-        w = (int(t) - t0) // window_seconds
-        totals[w] += 1
-        seen[w].add(node)
-    actives = np.array([len(s) for s in seen], dtype=np.int64)
+    events = np.asarray(events, dtype=np.int64)
+    stamps, nodes = events[:, 0], events[:, 1]
+    t0 = int(stamps.min())
+    span = int(stamps.max()) - t0
+    num_windows = span // window_seconds + 1
+    # offsets in uint64 stay exact when the span passes 2**63
+    offsets = stamps.view(np.uint64) - np.uint64(t0 % 2**64)
+    if window_seconds <= span:
+        windows = (offsets // np.uint64(window_seconds)).astype(np.intp)
+    else:
+        windows = np.zeros(len(stamps), dtype=np.intp)
+    if node_filter is not None:
+        keep = np.isin(nodes, list(node_filter))
+        windows, nodes = windows[keep], nodes[keep]
+    totals = np.bincount(windows, minlength=num_windows)
+    # distinct (window, node) pairs: sort by window then node, count first occurrences
+    order = np.lexsort((nodes, windows))
+    windows, nodes = windows[order], nodes[order]
+    first = np.ones(len(windows), dtype=bool)
+    first[1:] = (windows[1:] != windows[:-1]) | (nodes[1:] != nodes[:-1])
+    actives = np.bincount(windows[first], minlength=num_windows)
     return EventSeries(
         window_seconds=window_seconds, t0=t0, totals=totals, actives=actives
     )
@@ -77,8 +88,8 @@ def sample_control_nodes(
     population = sorted(set(all_nodes) - boundary_set)
     if len(boundary_set) > len(population):
         raise ValueError(
-            f"cannot sample {len(boundary_set)} control nodes "
-            f"from {len(population)} non-boundary nodes"
+            f"the boundary set ({len(boundary_set)} nodes) outnumbers the "
+            f"{len(population)} other nodes, so no equal-size control set exists"
         )
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(population), size=len(boundary_set), replace=False)
@@ -86,7 +97,7 @@ def sample_control_nodes(
 
 
 def control_series(
-    events: Sequence[tuple[int, int]],
+    events: np.ndarray | Sequence[tuple[int, int]],
     boundary: Iterable[int],
     all_nodes: Iterable[int],
     window_seconds: int,

@@ -215,6 +215,25 @@ def test_overlap_rejects_bad_k():
         rank_overlap([1, 2, 3], [2, 1], [1])
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_overlap_equals_per_k_top_k_sets(seed):
+    """Ranking each vector once gives the per-k top_k_nodes set intersection."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 120))
+    # few distinct values, so both vectors are full of ties
+    a = rng.integers(0, 6, size=n).astype(float)
+    b = rng.integers(0, 4, size=n) * 0.5
+    ks = list(range(1, n + 1))
+    curve = rank_overlap(a.tolist(), b.tolist(), ks)
+    assert curve.ks == tuple(ks)
+    for k, proportion in zip(ks, curve.proportions):
+        shared = set(top_k_nodes(a, k)) & set(top_k_nodes(b, k))
+        assert proportion == len(shared) / k
+    picked = [int(k) for k in rng.integers(1, n + 1, size=4)]
+    assert rank_overlap(a, b, picked).proportions == tuple(
+        curve.proportions[k - 1] for k in picked)
+
+
 def test_top_k_tie_break_by_id():
     assert top_k_nodes([1.0, 2.0, 2.0, 0.5], 2) == [1, 2]
     assert top_k_nodes([1.0, 1.0, 1.0], 2) == [0, 1]

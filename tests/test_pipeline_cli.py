@@ -15,7 +15,7 @@ from boundary_vicinity import (
     subgraph,
 )
 from boundary_vicinity import pipeline
-from boundary_vicinity.cli import main
+from boundary_vicinity.cli import _read_events, main
 from boundary_vicinity.pipeline import component_seed, write_scores_dot
 
 BRIDGE = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n"
@@ -378,6 +378,53 @@ def test_unknown_event_node_exit_code(tmp_path, bridge_file):
     events.write_text("10,99\n")
     assert main(["temporal", "--input", str(bridge_file), "--events", str(events),
                  "--out", str(tmp_path)]) == 2
+
+
+def test_read_events_line_rules(tmp_path, bridge_file):
+    """Blank, comment and header lines are skipped; padding around a line is not read."""
+    with open(bridge_file) as handle:
+        g = load_edge_list(handle)
+    events = tmp_path / "events.csv"
+    events.write_text("# replay\nepoch_seconds,node_id\n\n  120,3  \n\t60 ,0\n"
+                      "   \n#7,1\n-5,5\n120,3\n")
+    got = _read_events(str(events), g)
+    assert got.dtype == np.int64
+    assert got.shape == (4, 2)
+    assert got.tolist() == [[120, 3], [60, 0], [-5, 5], [120, 3]]
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("epoch_seconds,node_id\n\n10,0\n# note\n20, 1\n", 5, "unknown node ' 1'"),
+    ("10,0\n\n16x,1\n", 3, "timestamp '16x' is not a 64-bit integer"),
+    ("# c\n10,0\n99999999999999999999,1\n", 3, "timestamp '99999999999999999999'"),
+    ("10,0\n9223372036854775808,1\n", 2, "is not a 64-bit integer"),
+    ("\n\n#\n,2\n", 4, "timestamp ''"),
+])
+def test_bad_event_line_named_with_exit_2(tmp_path, bridge_file, capsys, body, line,
+                                          message):
+    events = tmp_path / "events.csv"
+    events.write_text(body)
+    code = main(["temporal", "--input", str(bridge_file), "--events", str(events),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{events}: line {line}: " in err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_temporal_boundary_outnumbering_the_rest_exits_2(tmp_path, capsys):
+    """On karate the boundary set is larger than the rest: no equal-size control set."""
+    graph = Path(__file__).parent / "data" / "karate.edges"
+    events = tmp_path / "events.csv"
+    events.write_text("".join(f"{60 * w + v},{v}\n" for w in range(10) for v in range(34)))
+    code = main(["temporal", "--input", str(graph), "--events", str(events),
+                 "--seed", "1", "--window", "60", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: the boundary set (" in err
+    assert "so no equal-size control set exists" in err
+    assert not (tmp_path / "out" / "temporal.csv").exists()
 
 
 def test_run_pipeline_api_matches_cli(bridge_file, tmp_path):

@@ -4,11 +4,29 @@ import numpy as np
 import pytest
 
 from boundary_vicinity import (
+    EventSeries,
     bin_events,
     control_series,
     detect_spikes,
     sample_control_nodes,
 )
+
+
+def bin_events_reference(events, window_seconds, node_filter=None):
+    """The per-event binning loop: one Python set of active nodes per window."""
+    stamps = [int(t) for t, _ in events]
+    t0 = min(stamps)
+    num_windows = (max(stamps) - t0) // window_seconds + 1
+    totals = np.zeros(num_windows, dtype=np.int64)
+    seen = [set() for _ in range(num_windows)]
+    for t, node in events:
+        if node_filter is not None and node not in node_filter:
+            continue
+        w = (int(t) - t0) // window_seconds
+        totals[w] += 1
+        seen[w].add(node)
+    actives = np.array([len(s) for s in seen], dtype=np.int64)
+    return EventSeries(window_seconds=window_seconds, t0=t0, totals=totals, actives=actives)
 
 
 def test_bin_counts_distinct_actives():
@@ -52,6 +70,44 @@ def test_bin_actives_bounded_by_totals_and_filter():
     assert unfiltered.totals.sum() == 500
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_bin_matches_per_event_reference(seed):
+    """Array binning equals the per-event loop on random unsorted streams."""
+    rng = np.random.default_rng(seed)
+    num_events = int(rng.integers(1, 400))
+    # seed 1 and up: node ids far above the event count, to rule out a dense key
+    top = 30 if seed == 0 else 10**15
+    nodes = rng.choice(rng.integers(0, top, size=40), size=num_events)
+    stamps = rng.integers(-5_000, 5_000, size=num_events) + 1_600_000_000 * (seed % 2)
+    pairs = [(int(t), int(v)) for t, v in zip(stamps, nodes)]
+    present = sorted(set(nodes.tolist()))
+    absent = {top + 1, top + 2}
+    window = int(rng.integers(1, 700))
+    filters = [None, set(), set(present[::3]), absent, set(present[1::2]) | absent]
+    for node_filter in filters:
+        expected = bin_events_reference(pairs, window, node_filter)
+        for events in (pairs, np.array(pairs, dtype=np.int64)):
+            got = bin_events(events, window, node_filter=node_filter)
+            assert got.t0 == expected.t0
+            assert got.num_windows == expected.num_windows
+            assert got.window_seconds == window
+            assert got.totals.tolist() == expected.totals.tolist()
+            assert got.actives.tolist() == expected.actives.tolist()
+
+
+def test_bin_span_beyond_int64_offsets():
+    """Stamps at both ends of int64 bin exactly, although t - t0 passes 2**63."""
+    lo, hi = -(2**63), 2**63 - 1
+    events = np.array([[hi, 1], [lo, 2], [lo + 5, 2], [0, 3]], dtype=np.int64)
+    window = 2**62
+    series = bin_events(events, window)
+    assert series.t0 == lo
+    assert series.num_windows == (hi - lo) // window + 1 == 4
+    assert series.totals.tolist() == [2, 0, 1, 1]
+    assert series.actives.tolist() == [1, 0, 1, 1]
+    assert bin_events(events, 2**70).totals.tolist() == [4]
+
+
 def test_bin_rejects_empty_stream():
     with pytest.raises(ValueError):
         bin_events([], 60)
@@ -77,6 +133,8 @@ def test_control_deterministic():
 def test_control_boundary_equals_population_errors():
     with pytest.raises(ValueError):
         sample_control_nodes({0, 1}, {0, 1}, seed=0)
+    with pytest.raises(ValueError, match=r"boundary set \(3 nodes\) outnumbers the 2 other"):
+        sample_control_nodes({0, 1, 2}, set(range(5)), seed=0)
 
 
 def test_spikes_constant_series_none():
