@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .community import CommunityLabeling
 from .graph import Graph
 
@@ -33,11 +35,11 @@ def boundary_edges(g: Graph, labeling: CommunityLabeling) -> BoundarySet:
         raise ValueError(
             f"labeling covers {len(labeling.labels)} nodes, graph has {g.num_nodes}"
         )
-    labels = labeling.labels
-    crossing = tuple((u, v) for u, v in g.edges if labels[u] != labels[v])
-    nodes = sorted({v for e in crossing for v in e})
+    labels = np.asarray(labeling.labels)
+    crossing = g.edges[labels[g.edges[:, 0]] != labels[g.edges[:, 1]]]
+    nodes = np.unique(crossing).tolist()
     return BoundarySet(
-        boundary_edges=crossing,
+        boundary_edges=tuple(map(tuple, crossing.tolist())),
         boundary_nodes=tuple(nodes),
-        home_community={v: labels[v] for v in nodes},
+        home_community={v: labeling.labels[v] for v in nodes},
     )

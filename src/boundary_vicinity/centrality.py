@@ -25,6 +25,7 @@ class OverlapCurve:
 
 def _bfs_counts(g: Graph, source: int) -> tuple[list[int], list[int], list[int], list[list[int]]]:
     """BFS from source: visit order, distances, geodesic counts, predecessors."""
+    indptr, indices = (a.tolist() for a in g.csr)
     dist = [-1] * g.num_nodes
     sigma = [0] * g.num_nodes
     preds: list[list[int]] = [[] for _ in range(g.num_nodes)]
@@ -35,7 +36,7 @@ def _bfs_counts(g: Graph, source: int) -> tuple[list[int], list[int], list[int],
     while queue:
         u = queue.popleft()
         order.append(u)
-        for w in g.adjacency[u]:
+        for w in indices[indptr[u]:indptr[u + 1]]:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 # subgraph is not called here; bench/tracing.py wraps it as a community attribute
-from .graph import Graph, build_graph, subgraph
+from .graph import Graph, component_roots, subgraph
 
 DEFAULT_MIN_MODULARITY_GAIN = 1e-7
 # Partitions scoring below this are usually indistinguishable from noise;
@@ -41,7 +41,8 @@ def modularity(g: Graph, labels: Sequence[int]) -> float:
 
     e_c is the fraction of edges with both endpoints in community c and
     a_c the fraction of edge endpoints in c. Q is 0 for a single community
-    covering the whole graph and at most 1.
+    covering the whole graph and at most 1. The terms are added one at a
+    time, in order of each community's first endpoint in ``g.edges``.
 
     Raises ValueError for edgeless graphs (the measure is undefined) or a
     label vector of the wrong length.
@@ -51,44 +52,44 @@ def modularity(g: Graph, labels: Sequence[int]) -> float:
     if len(labels) != g.num_nodes:
         raise ValueError(f"expected {g.num_nodes} labels, got {len(labels)}")
     m = g.num_edges
-    internal: dict[int, int] = {}
-    endpoint: dict[int, int] = {}
-    for u, v in g.edges:
-        cu, cv = labels[u], labels[v]
-        if cu == cv:
-            internal[cu] = internal.get(cu, 0) + 1
-        endpoint[cu] = endpoint.get(cu, 0) + 1
-        endpoint[cv] = endpoint.get(cv, 0) + 1
-    q = 0.0
-    for c, ends in endpoint.items():
-        e_c = internal.get(c, 0) / m
-        a_c = ends / (2 * m)
-        q += e_c - a_c * a_c
-    return q
+    _, first, comm = np.unique(np.asarray(labels)[g.edges].ravel(), return_index=True,
+                               return_inverse=True)
+    pair = comm.reshape(-1, 2)
+    internal = np.bincount(pair[pair[:, 0] == pair[:, 1], 0], minlength=len(first))
+    share = np.bincount(comm, minlength=len(first)) / (2 * m)
+    terms = internal / m - share * share
+    return float(np.cumsum(terms[np.argsort(first)])[-1])
 
 
 class _LevelGraph:
-    """Weighted graph for one Louvain level; aggregated nodes carry self-weights."""
+    """Weighted graph for one Louvain level; aggregated nodes carry self-weights.
 
-    def __init__(self, num_nodes: int, weights: dict[tuple[int, int], float],
-                 self_weights: list[float]):
+    Built from node pairs (K, 2) with weights, each pair once. A node's
+    neighbours, ``neighbors[indptr[i]:indptr[i + 1]]`` with ``weights``
+    alongside, come in pair order, the order the local-move queue appends
+    them in. Every weight is an integer-valued float, so every sum of
+    weights is exact in any order.
+    """
+
+    def __init__(self, num_nodes: int, pairs: np.ndarray, pair_weights: np.ndarray,
+                 self_weights: np.ndarray):
         self.num_nodes = num_nodes
         self.self_weights = self_weights
-        self.neighbors: list[list[tuple[int, float]]] = [[] for _ in range(num_nodes)]
-        for (u, v), w in weights.items():
-            self.neighbors[u].append((v, w))
-            self.neighbors[v].append((u, w))
+        ends = pairs.ravel()
+        end_weights = np.repeat(pair_weights, 2)
+        order = np.argsort(ends, kind="stable")
+        self.indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=num_nodes), out=self.indptr[1:])
+        self.neighbors = pairs[:, ::-1].ravel()[order]
+        self.weights = end_weights[order]
         # strength counts a self-loop weight twice, matching the matrix form
-        self.strength = [
-            sum(w for _, w in self.neighbors[i]) + 2.0 * self_weights[i]
-            for i in range(num_nodes)
-        ]
-        self.total_weight = sum(weights.values()) + sum(self_weights)
+        self.strength = (np.bincount(ends, weights=end_weights, minlength=num_nodes)
+                         + 2.0 * self_weights)
+        self.total_weight = float(pair_weights.sum() + self_weights.sum())
 
     @classmethod
     def from_graph(cls, g: Graph) -> "_LevelGraph":
-        weights = {(u, v): 1.0 for u, v in g.edges}
-        return cls(g.num_nodes, weights, [0.0] * g.num_nodes)
+        return cls(g.num_nodes, g.edges, np.ones(g.num_edges), np.zeros(g.num_nodes))
 
 
 def _one_level(level: _LevelGraph, rng: np.random.Generator) -> tuple[list[int], int]:
@@ -101,9 +102,13 @@ def _one_level(level: _LevelGraph, rng: np.random.Generator) -> tuple[list[int],
     """
     n = level.num_nodes
     m = level.total_weight
+    indptr = level.indptr.tolist()
+    neighbors = level.neighbors.tolist()
+    weights = level.weights.tolist()
+    strength = level.strength.tolist()
     comm = list(range(n))
     # sum of member strengths per community
-    tot = list(level.strength)
+    tot = list(strength)
     order = np.arange(n)
     rng.shuffle(order)
     queue = deque(order.tolist())
@@ -114,10 +119,12 @@ def _one_level(level: _LevelGraph, rng: np.random.Generator) -> tuple[list[int],
         queued[i] = False
         pops += 1
         ci = comm[i]
-        k_i = level.strength[i]
+        k_i = strength[i]
+        start, end = indptr[i], indptr[i + 1]
+        around = neighbors[start:end]
         # links from i to each adjacent community
         links: dict[int, float] = {ci: 0.0}
-        for j, w in level.neighbors[i]:
+        for j, w in zip(around, weights[start:end]):
             links[comm[j]] = links.get(comm[j], 0.0) + w
         tot[ci] -= k_i
         best_comm = ci
@@ -131,48 +138,42 @@ def _one_level(level: _LevelGraph, rng: np.random.Generator) -> tuple[list[int],
         tot[best_comm] += k_i
         if best_comm != ci:
             comm[i] = best_comm
-            for j, _ in level.neighbors[i]:
+            for j in around:
                 if not queued[j] and comm[j] != best_comm:
                     queued[j] = True
                     queue.append(j)
     return comm, pops
 
 
-def _aggregate(level: _LevelGraph, comm: list[int]) -> tuple[_LevelGraph, list[int]]:
-    """Phase two: collapse communities into nodes, keeping edge weights."""
-    present = sorted(set(comm))
-    renumber = {old: new for new, old in enumerate(present)}
-    dense = [renumber[c] for c in comm]
-    weights: dict[tuple[int, int], float] = {}
-    self_w = [0.0] * len(present)
-    for i in range(level.num_nodes):
-        self_w[dense[i]] += level.self_weights[i]
-        for j, w in level.neighbors[i]:
-            if j < i:
-                continue
-            ci, cj = dense[i], dense[j]
-            if ci == cj:
-                self_w[ci] += w
-            else:
-                key = (ci, cj) if ci < cj else (cj, ci)
-                weights[key] = weights.get(key, 0.0) + w
-    return _LevelGraph(len(present), weights, self_w), dense
+def _aggregate(level: _LevelGraph, comm: list[int]) -> tuple[_LevelGraph, np.ndarray]:
+    """Phase two: collapse communities into nodes, keeping edge weights.
+
+    Communities are renumbered densely in ascending order. Each pair of
+    linked communities becomes one weighted pair, ordered by where it is
+    first met in a scan of every level pair (i, j > i) in neighbour order.
+    """
+    present, dense = np.unique(comm, return_inverse=True)
+    k = len(present)
+    rows = np.repeat(np.arange(level.num_nodes), np.diff(level.indptr))
+    upper = level.neighbors > rows
+    ci, cj = dense[rows[upper]], dense[level.neighbors[upper]]
+    w = level.weights[upper]
+    inside = ci == cj
+    self_weights = (np.bincount(dense, weights=level.self_weights, minlength=k)
+                    + np.bincount(ci[inside], weights=w[inside], minlength=k))
+    ci, cj, w = ci[~inside], cj[~inside], w[~inside]
+    keys, first, pair = np.unique(np.minimum(ci, cj) * k + np.maximum(ci, cj),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    pairs = np.stack(np.divmod(keys[order], k), axis=1)
+    pair_weights = np.bincount(pair, weights=w, minlength=len(keys))[order]
+    return _LevelGraph(k, pairs, pair_weights, self_weights), dense
 
 
-def _weighted_modularity(level: _LevelGraph, comm: list[int]) -> float:
+def _weighted_modularity(level: _LevelGraph) -> float:
+    """Modularity of the partition with each level node in its own community."""
     m = level.total_weight
-    internal: dict[int, float] = {}
-    tot: dict[int, float] = {}
-    for i in range(level.num_nodes):
-        internal[comm[i]] = internal.get(comm[i], 0.0) + level.self_weights[i]
-        tot[comm[i]] = tot.get(comm[i], 0.0) + level.strength[i]
-        for j, w in level.neighbors[i]:
-            if j > i and comm[j] == comm[i]:
-                internal[comm[i]] = internal.get(comm[i], 0.0) + w
-    q = 0.0
-    for c in tot:
-        q += internal.get(c, 0.0) / m - (tot[c] / (2.0 * m)) ** 2
-    return q
+    return float(np.sum(level.self_weights / m - (level.strength / (2.0 * m)) ** 2))
 
 
 def detect_communities(
@@ -201,39 +202,28 @@ def detect_communities(
         raise ValueError("community detection is undefined for a graph with no edges")
     rng = np.random.default_rng(seed)
     level = _LevelGraph.from_graph(g)
-    assignment = list(range(g.num_nodes))
+    assignment = np.arange(g.num_nodes)
     trace: list[float] = []
-    prev_q = _weighted_modularity(level, list(range(level.num_nodes)))
+    prev_q = _weighted_modularity(level)
     local_moves = 0
     while True:
         comm, pops = _one_level(level, rng)
         local_moves += pops
         level, dense = _aggregate(level, comm)
-        assignment = [dense[a] for a in assignment]
-        q = _weighted_modularity(level, list(range(level.num_nodes)))
+        assignment = dense[assignment]
+        q = _weighted_modularity(level)
         trace.append(q)
         if q - prev_q < min_modularity_gain:
             break
         prev_q = q
 
-    # label the connected pieces of each community, in first-occurrence order
-    labels = [-1] * g.num_nodes
-    count = 0
-    for start in range(g.num_nodes):
-        if labels[start] >= 0:
-            continue
-        labels[start] = count
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if labels[w] < 0 and assignment[w] == assignment[start]:
-                    labels[w] = count
-                    stack.append(w)
-        count += 1
+    # the connected pieces of each community, numbered in node order of their smallest member
+    inside = assignment[g.edges[:, 0]] == assignment[g.edges[:, 1]]
+    _, labels = np.unique(component_roots(g.num_nodes, g.edges[inside]), return_inverse=True)
+    count = int(labels.max()) + 1
     final_q = modularity(g, labels)
     return CommunityLabeling(
-        labels=tuple(labels),
+        labels=tuple(labels.tolist()),
         modularity=final_q,
         num_communities=count,
         passes=len(trace),
@@ -245,9 +235,10 @@ def detect_communities(
 def community_mask(g: Graph, labeling: CommunityLabeling) -> Graph:
     """The walk graph: ``g`` without its cross-community edges, in ``g``'s node ids.
 
-    A walk on it never leaves its start's community. Members whose links
-    all cross community lines become isolated nodes.
+    Its edges are the rows of ``g.edges`` whose endpoints share a label, in
+    ``g``'s order. A walk on it never leaves its start's community. Members
+    whose links all cross community lines become isolated nodes.
     """
-    labels = labeling.labels
-    kept = [(u, v) for u, v in g.edges if labels[u] == labels[v]]
-    return build_graph(g.num_nodes, kept, names=g.names)
+    labels = np.asarray(labeling.labels)
+    keep = labels[g.edges[:, 0]] == labels[g.edges[:, 1]]
+    return Graph(g.num_nodes, g.edges[keep], names=g.names)

@@ -35,7 +35,7 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     # one draw per pair, in row-major (u, v > u) order
     u, v = np.triu_indices(n, 1)
     keep = rng.random(len(u)) < p
-    return build_graph(n, zip(u[keep].tolist(), v[keep].tolist()))
+    return build_graph(n, np.stack([u[keep], v[keep]], axis=1))
 
 
 def preferential_attachment(n: int, m: int, seed: int = 0) -> Graph:
@@ -86,22 +86,20 @@ def connect_communities(
         raise ValueError(
             f"{k} cross edges cannot connect {len(parts)} parts"
         )
-    offsets = []
-    total = 0
-    for part in parts:
-        offsets.append(total)
-        total += part.num_nodes
+    sizes = [part.num_nodes for part in parts]
+    offsets = np.cumsum([0] + sizes).tolist()
+    total = offsets.pop()
     if k > total:
         raise ValueError(f"cannot select {k} distinct nodes from {total}")
-    labels = []
-    base_edges = []
-    for i, part in enumerate(parts):
-        labels.extend([i] * part.num_nodes)
-        base_edges.extend((u + offsets[i], v + offsets[i]) for u, v in part.edges)
+    labels = np.repeat(np.arange(len(parts)), sizes).tolist()
+    # an edge (u, v), u < v, as the key u * total + v: key order is (u, v) order
+    within = np.concatenate([part.edges + offset for part, offset in zip(parts, offsets)])
+    within_keys = within[:, 0] * total + within[:, 1]
 
     rng = np.random.default_rng(seed)
     for _ in range(STITCH_RETRY_LIMIT):
-        edge_set = set(base_edges)
+        # a cross edge joins two parts, so it can only repeat another cross edge
+        cross: set[int] = set()
         selected = [int(v) for v in rng.choice(total, size=k, replace=False)]
         boundary = set(selected)
         ok = True
@@ -111,9 +109,9 @@ def connect_communities(
             for _attempt in range(STITCH_RETRY_LIMIT):
                 p = others[int(rng.integers(len(others)))]
                 t = offsets[p] + int(rng.integers(parts[p].num_nodes))
-                e = (s, t) if s < t else (t, s)
-                if e not in edge_set:
-                    edge_set.add(e)
+                key = min(s, t) * total + max(s, t)
+                if key not in cross:
+                    cross.add(key)
                     partner = t
                     break
             if partner < 0:
@@ -122,7 +120,8 @@ def connect_communities(
             boundary.add(partner)
         if not ok:
             continue
-        g = build_graph(total, sorted(edge_set))
+        keys = np.sort(np.concatenate([within_keys, np.fromiter(cross, np.int64, len(cross))]))
+        g = build_graph(total, np.stack(np.divmod(keys, total), axis=1))
         if len(connected_components(g).components) == 1:
             return PlantedNetwork(
                 graph=g,

@@ -1,11 +1,10 @@
-"""Undirected simple-graph container, edge-list parsing, and connectivity."""
+"""Undirected simple graph as int64 arrays, edge-list parsing, and connectivity."""
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -19,24 +18,25 @@ class EdgeListParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected simple graph.
 
-    Node ids are dense integers in [0, num_nodes). ``edges`` holds each
-    undirected edge once as an (u, v) pair with u < v; ``adjacency`` holds
-    a sorted neighbor tuple per node, consistent with ``edges``. ``names``
-    maps dense ids back to the original node tokens when the graph was read
-    from a file with non-dense labels. ``csr`` is the same adjacency as
-    arrays, built on first use.
+    Node ids are dense integers in [0, num_nodes). ``edges`` is a read-only
+    (M, 2) int64 array holding each undirected edge once as a (u, v) row
+    with u < v, in input order. ``names`` maps dense ids back to the
+    original node tokens when the graph was read from a file with non-dense
+    labels. ``csr`` is the adjacency as arrays, built on first use.
     """
 
     num_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    edges: np.ndarray
     names: tuple[str, ...] | None = None
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0
+
+    def __post_init__(self):
+        self.edges.flags.writeable = False
 
     @property
     def num_edges(self) -> int:
@@ -45,16 +45,20 @@ class Graph:
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)``, read-only int64: the neighbours of v are
-        ``indices[indptr[v]:indptr[v + 1]]``, in ``adjacency`` order (ascending)."""
-        degree = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=self.num_nodes)
-        indptr = np.concatenate([[0], np.cumsum(degree)])
-        indices = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64,
-                              count=int(indptr[-1]))
+        ``indices[indptr[v]:indptr[v + 1]]``, in ascending order."""
+        n = self.num_nodes
+        ends = self.edges.ravel()
+        # one sort of node * n + neighbour groups rows by node, neighbours ascending
+        keys = np.sort(ends * n + self.edges[:, ::-1].ravel())
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+        indices = keys % n
         indptr.flags.writeable = indices.flags.writeable = False
         return indptr, indices
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        indptr = self.csr[0]
+        return int(indptr[v + 1] - indptr[v])
 
     def name_of(self, v: int) -> str:
         return self.names[v] if self.names is not None else str(v)
@@ -75,37 +79,39 @@ class ComponentPartition:
 
 def build_graph(
     num_nodes: int,
-    edges: Iterable[tuple[int, int]],
+    edges: np.ndarray | Iterable[tuple[int, int]],
     names: Sequence[str] | None = None,
     self_loops_dropped: int = 0,
     duplicates_dropped: int = 0,
 ) -> Graph:
     """Assemble a Graph from already-dense node ids, validating simplicity.
 
-    Raises ValueError on out-of-range ids, self-loops, or duplicate edges;
-    callers that tolerate those must filter beforehand (see load_edge_list).
+    ``edges`` is an (M, 2) integer array or an iterable of pairs. Raises
+    ValueError naming the first edge, in input order, that is out of range,
+    a self-loop, or a duplicate; callers that tolerate those must filter
+    beforehand (see load_edge_list).
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be nonnegative")
-    canonical: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in edges:
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-        if u == v:
-            raise ValueError(f"self-loop at node {u}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise ValueError(f"duplicate edge {e}")
-        seen.add(e)
-        canonical.append(e)
-        adj[u].append(v)
-        adj[v].append(u)
+    pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    pairs = pairs.reshape(len(pairs), 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    outside = (lo < 0) | (hi >= num_nodes)
+    loop = u == v
+    repeat = np.ones(len(pairs), dtype=bool)
+    repeat[np.unique(lo * num_nodes + hi, return_index=True)[1]] = False
+    bad = np.flatnonzero(outside | loop | repeat)
+    if len(bad):
+        i = bad[0]
+        if outside[i]:
+            raise ValueError(f"edge ({u[i]}, {v[i]}) out of range for {num_nodes} nodes")
+        if loop[i]:
+            raise ValueError(f"self-loop at node {u[i]}")
+        raise ValueError(f"duplicate edge ({lo[i]}, {hi[i]})")
     return Graph(
         num_nodes=num_nodes,
-        edges=tuple(canonical),
-        adjacency=tuple(tuple(sorted(n)) for n in adj),
+        edges=np.stack([lo, hi], axis=1),
         names=tuple(names) if names is not None else None,
         self_loops_dropped=self_loops_dropped,
         duplicates_dropped=duplicates_dropped,
@@ -119,86 +125,83 @@ def load_edge_list(stream: TextIO | Iterable[str]) -> Graph:
     by whitespace or a comma. Tokens are interned to dense ids in first-seen
     order, so files with string labels or sparse/1-based integer ids load
     uniformly; original tokens are kept in ``Graph.names``. Self-loops and
-    duplicate edges are dropped, with counts recorded on the returned graph.
+    duplicate edges are dropped (the first copy of an edge is kept), with
+    counts recorded on the returned graph.
 
     Raises EdgeListParseError for lines without exactly two tokens, and
     ValueError for empty input.
     """
     ids: dict[str, int] = {}
-    names: list[str] = []
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    self_loops = 0
-    duplicates = 0
-    saw_content = False
-
-    def intern(token: str) -> int:
-        if token not in ids:
-            ids[token] = len(names)
-            names.append(token)
-        return ids[token]
-
+    ends = array("q")
     for line_number, line in enumerate(stream, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        saw_content = True
         tokens = text.replace(",", " ").split()
         if len(tokens) != 2:
             raise EdgeListParseError(
                 line_number, f"expected 2 node tokens, found {len(tokens)}: {text!r}"
             )
-        u, v = intern(tokens[0]), intern(tokens[1])
-        if u == v:
-            self_loops += 1
-            continue
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            duplicates += 1
-            continue
-        seen.add(e)
-        edges.append(e)
-
-    if not saw_content:
+        ends.append(ids.setdefault(tokens[0], len(ids)))
+        ends.append(ids.setdefault(tokens[1], len(ids)))
+    if not ends:
         raise ValueError("empty edge list input")
-    return build_graph(
-        len(names),
-        edges,
-        names=names,
-        self_loops_dropped=self_loops,
-        duplicates_dropped=duplicates,
+    n = len(ids)
+    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    first = np.sort(np.unique(lo * n + hi, return_index=True)[1])
+    return Graph(
+        num_nodes=n,
+        edges=np.stack([lo[first], hi[first]], axis=1),
+        names=tuple(ids),
+        self_loops_dropped=len(ends) // 2 - len(pairs),
+        duplicates_dropped=len(pairs) - len(first),
     )
 
 
 def write_edge_list(g: Graph, stream: TextIO) -> None:
     """Serialize one edge per line using original node names when present."""
-    for u, v in g.edges:
+    for u, v in g.edges.tolist():
         stream.write(f"{g.name_of(u)} {g.name_of(v)}\n")
 
 
+def component_roots(num_nodes: int, edges: np.ndarray) -> np.ndarray:
+    """Each node's smallest fellow member of its connected component.
+
+    ``edges`` is an (M, 2) array of node pairs. Shiloach-Vishkin style:
+    every node points at a smaller or equal id of its component; each
+    round hooks, per edge, the larger of its two endpoints' roots onto the
+    smaller, then jumps pointers until each points at a root. A round with
+    no edge between two roots ends it, and the roots are then the minima.
+    """
+    parent = np.arange(num_nodes)
+    u, v = edges[:, 0], edges[:, 1]
+    while True:
+        pu, pv = parent[u], parent[v]
+        differ = pu != pv
+        if not differ.any():
+            return parent
+        pu, pv = pu[differ], pv[differ]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
 def connected_components(g: Graph) -> ComponentPartition:
-    """BFS connected components, ordered by descending size then smallest member."""
-    comp_of = [-1] * g.num_nodes
-    groups: list[list[int]] = []
-    for start in range(g.num_nodes):
-        if comp_of[start] >= 0:
-            continue
-        comp_of[start] = len(groups)
-        members = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if comp_of[w] < 0:
-                    comp_of[w] = len(groups)
-                    members.append(w)
-                    queue.append(w)
-        groups.append(sorted(members))
-    order = sorted(range(len(groups)), key=lambda i: (-len(groups[i]), groups[i][0]))
-    rank = {old: new for new, old in enumerate(order)}
+    """Connected components, ordered by descending size then smallest member."""
+    roots = component_roots(g.num_nodes, g.edges)
+    firsts, member_of, sizes = np.unique(roots, return_inverse=True, return_counts=True)
+    rank = np.argsort(np.lexsort((firsts, -sizes)))
+    component_id = rank[member_of]
+    members = np.argsort(component_id, kind="stable").tolist()
+    ends = np.cumsum(np.sort(sizes)[::-1]).tolist()
     return ComponentPartition(
-        component_id=tuple(rank[c] for c in comp_of),
-        components=tuple(tuple(groups[old]) for old in order),
+        component_id=tuple(component_id.tolist()),
+        components=tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends)),
     )
 
 
@@ -206,17 +209,17 @@ def subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on ``nodes`` with dense re-labeled ids.
 
     New ids follow ascending old id order. Returns the subgraph and the
-    old-to-new id mapping. Edges survive iff both endpoints are kept.
+    old-to-new id mapping. Edges survive iff both endpoints are kept, in
+    ``g``'s edge order.
     """
-    selected = sorted(set(nodes))
-    for v in selected:
-        if not (0 <= v < g.num_nodes):
-            raise ValueError(f"node id {v} out of range for {g.num_nodes} nodes")
-    mapping = {old: new for new, old in enumerate(selected)}
-    kept = [
-        (mapping[u], mapping[v])
-        for u, v in g.edges
-        if u in mapping and v in mapping
-    ]
-    names = tuple(g.name_of(v) for v in selected) if g.names is not None else None
-    return build_graph(len(selected), kept, names=names), mapping
+    selected = np.unique(np.fromiter(nodes, dtype=np.int64))
+    outside = selected[(selected < 0) | (selected >= g.num_nodes)]
+    if len(outside):
+        raise ValueError(f"node id {outside[0]} out of range for {g.num_nodes} nodes")
+    new_id = np.full(g.num_nodes, -1)
+    new_id[selected] = np.arange(len(selected))
+    edges = new_id[g.edges]
+    kept = selected.tolist()
+    names = tuple(g.names[v] for v in kept) if g.names is not None else None
+    return (Graph(len(kept), edges[(edges >= 0).all(axis=1)], names=names),
+            dict(zip(kept, range(len(kept)))))

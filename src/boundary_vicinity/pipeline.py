@@ -13,6 +13,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from . import __version__
 from .boundary import BoundarySet, boundary_edges
 from .community import (
@@ -74,18 +76,15 @@ def detect_all_communities(
     Labels are globally unique across components.
     """
     parts = connected_components(g)
-    labels = [-1] * g.num_nodes
+    labels = np.full(g.num_nodes, -1)
     reports: list[ComponentReport] = []
     next_label = 0
     for index, members in enumerate(parts.components):
-        if len(members) == g.num_nodes:
-            # the induced subgraph on every node is g itself, in the same order
-            sub, mapping = g, dict(zip(members, members))
-        else:
-            sub, mapping = subgraph(g, members)
+        # the induced subgraph on every node is g itself, in the same order
+        sub = g if len(members) == g.num_nodes else subgraph(g, members)[0]
+        members = list(members)
         if sub.num_edges == 0:
-            for v in members:
-                labels[v] = next_label
+            labels[members] = next_label
             next_label += 1
             reports.append(ComponentReport(
                 index=index, size=len(members), num_edges=0, modularity=None,
@@ -93,30 +92,19 @@ def detect_all_communities(
             ))
             continue
         detected = detect_communities(sub, seed=component_seed(seed, index))
-        if detected.modularity < q_threshold:
-            for v in members:
-                labels[v] = next_label
-            next_label += 1
-            reports.append(ComponentReport(
-                index=index, size=len(members), num_edges=sub.num_edges,
-                modularity=detected.modularity, num_communities=1,
-                passes=detected.passes, skipped="below_q_threshold",
-                local_moves=detected.local_moves,
-            ))
-            continue
-        for old, new in mapping.items():
-            labels[old] = next_label + detected.labels[new]
-        next_label += detected.num_communities
+        skipped = "below_q_threshold" if detected.modularity < q_threshold else None
+        # subgraph ids follow ascending old ids, as members do
+        labels[members] = next_label + (0 if skipped else np.asarray(detected.labels))
+        count = 1 if skipped else detected.num_communities
+        next_label += count
         reports.append(ComponentReport(
             index=index, size=len(members), num_edges=sub.num_edges,
-            modularity=detected.modularity,
-            num_communities=detected.num_communities,
-            passes=detected.passes, skipped=None,
-            local_moves=detected.local_moves,
+            modularity=detected.modularity, num_communities=count,
+            passes=detected.passes, skipped=skipped, local_moves=detected.local_moves,
         ))
     merged_q = modularity(g, labels) if g.num_edges > 0 else 0.0
     merged = CommunityLabeling(
-        labels=tuple(labels), modularity=merged_q, num_communities=next_label,
+        labels=tuple(labels.tolist()), modularity=merged_q, num_communities=next_label,
     )
     return merged, reports
 
@@ -189,7 +177,7 @@ def write_scores_dot(g: Graph, normalized: Sequence[float], stream: TextIO) -> N
     for v in range(g.num_nodes):
         width = 0.25 + 0.75 * float(normalized[v])
         stream.write(f'  "{ids[v]}" [width={width:.4f}];\n')
-    for u, v in g.edges:
+    for u, v in g.edges.tolist():
         stream.write(f'  "{ids[u]}" -- "{ids[v]}";\n')
     stream.write("}\n")
 

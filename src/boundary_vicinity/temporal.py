@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -15,18 +16,30 @@ class EventSeries:
     """Per-window event totals and distinct-active-node counts.
 
     Windows are contiguous, ``window_seconds`` wide, starting at the first
-    event's timestamp ``t0``. When a node filter was applied, both arrays
-    count only events from filtered nodes.
+    event's timestamp ``t0``. When a node filter was applied, both series
+    count only events from filtered nodes. ``windows`` and ``nodes`` hold
+    the window index and node of each counted event; ``actives`` is
+    computed from them on first read.
     """
 
     window_seconds: int
     t0: int
     totals: np.ndarray
-    actives: np.ndarray
+    windows: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False)
 
     @property
     def num_windows(self) -> int:
         return int(len(self.totals))
+
+    @cached_property
+    def actives(self) -> np.ndarray:
+        """Distinct nodes per window: sort by window then node, count first occurrences."""
+        order = np.lexsort((self.nodes, self.windows))
+        windows, nodes = self.windows[order], self.nodes[order]
+        first = np.ones(len(windows), dtype=bool)
+        first[1:] = (windows[1:] != windows[:-1]) | (nodes[1:] != nodes[:-1])
+        return np.bincount(windows[first], minlength=self.num_windows)
 
 
 @dataclass(frozen=True)
@@ -48,7 +61,7 @@ def bin_events(
     sequence of such pairs; the order does not matter. The window span
     always covers the full event stream, so series produced with different
     filters line up window for window. ``totals`` counts filtered events per
-    window, ``actives`` distinct filtered nodes.
+    window, ``actives`` distinct filtered nodes (on first read).
     """
     if window_seconds < 1:
         raise ValueError("window must be at least one second")
@@ -68,15 +81,9 @@ def bin_events(
     if node_filter is not None:
         keep = np.isin(nodes, list(node_filter))
         windows, nodes = windows[keep], nodes[keep]
-    totals = np.bincount(windows, minlength=num_windows)
-    # distinct (window, node) pairs: sort by window then node, count first occurrences
-    order = np.lexsort((nodes, windows))
-    windows, nodes = windows[order], nodes[order]
-    first = np.ones(len(windows), dtype=bool)
-    first[1:] = (windows[1:] != windows[:-1]) | (nodes[1:] != nodes[:-1])
-    actives = np.bincount(windows[first], minlength=num_windows)
     return EventSeries(
-        window_seconds=window_seconds, t0=t0, totals=totals, actives=actives
+        window_seconds=window_seconds, t0=t0,
+        totals=np.bincount(windows, minlength=num_windows), windows=windows, nodes=nodes,
     )
 
 

@@ -139,21 +139,23 @@ def random_walk(
 ) -> np.ndarray:
     """One truncated walk: the start, then the node each step lands on.
 
-    Every step moves to a uniformly random neighbor. Only a start with no
-    neighbors in the walk graph ends the walk early: a step along an
-    undirected edge lands on a node that has at least the neighbor it came
-    from. So the path holds either 1 or stepnum + 1 nodes. This is the
+    Every step moves to a uniformly random neighbor: draw u picks entry
+    floor(u * degree) of the current node's ascending row in ``mask.csr``.
+    Only a start with no neighbors in the walk graph ends the walk early: a
+    step along an undirected edge lands on a node that has at least the
+    neighbor it came from. So the path holds either 1 or stepnum + 1 nodes. This is the
     one-walk definition that the round engine reproduces.
     """
     if not (0 <= start < mask.num_nodes):
         raise ValueError(f"start node {start} not in walk graph")
+    indptr, indices = mask.csr
     path = [start]
     current = start
     for u in rng.random(stepnum):
-        neighbors = mask.adjacency[current]
-        if not neighbors:
+        first, degree = indptr[current], indptr[current + 1] - indptr[current]
+        if degree == 0:
             break
-        current = neighbors[int(u * len(neighbors))]
+        current = int(indices[first + int(u * degree)])
         path.append(current)
     return np.array(path, dtype=np.int64)
 

@@ -26,6 +26,17 @@ def two_triangles_disjoint() -> Graph:
     return build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 
 
+def neighbors(g: Graph, v: int) -> tuple[int, ...]:
+    """v's neighbours, ascending, read from the CSR."""
+    indptr, indices = g.csr
+    return tuple(indices[indptr[v]:indptr[v + 1]].tolist())
+
+
+def edge_tuples(g: Graph) -> tuple[tuple[int, int], ...]:
+    """``g.edges`` as (u, v) tuples, in edge order."""
+    return tuple(map(tuple, g.edges.tolist()))
+
+
 def random_connected_graph(rng, max_nodes: int = 8) -> Graph:
     """Small random connected graph: a random spanning tree plus extra edges."""
     n = int(rng.integers(2, max_nodes + 1))

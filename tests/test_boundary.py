@@ -10,6 +10,7 @@ from boundary_vicinity import (
     detect_communities,
     erdos_renyi,
 )
+from conftest import edge_tuples
 
 
 def labeling_of(labels):
@@ -64,10 +65,10 @@ def test_label_permutation_invariance(karate):
 def test_masks_plus_boundary_partition_edges(karate):
     labeling = detect_communities(karate, seed=3)
     bset = boundary_edges(karate, labeling)
-    mask_edges = set(community_mask(karate, labeling).edges)
+    mask_edges = set(edge_tuples(community_mask(karate, labeling)))
     cross = set(bset.boundary_edges)
     assert mask_edges.isdisjoint(cross)
-    assert {tuple(sorted(e)) for e in mask_edges | cross} == set(karate.edges)
+    assert {tuple(sorted(e)) for e in mask_edges | cross} == set(edge_tuples(karate))
 
 
 def test_labeling_length_mismatch_rejected():

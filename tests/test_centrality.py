@@ -16,11 +16,11 @@ from boundary_vicinity import (
     rank_overlap,
     top_k_nodes,
 )
-from conftest import random_connected_graph
+from conftest import neighbors, random_connected_graph
 
 
 def brandes_reference(g):
-    """Brandes one source at a time: a queue BFS over ``g.adjacency``, then
+    """Brandes one source at a time: a queue BFS over ascending neighbours, then
     dependencies accumulated over the reversed BFS order."""
     scores = np.zeros(g.num_nodes)
     for s in range(g.num_nodes):
@@ -32,7 +32,7 @@ def brandes_reference(g):
         while queue:
             u = queue.popleft()
             order.append(u)
-            for w in g.adjacency[u]:
+            for w in neighbors(g, u):
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     queue.append(w)
@@ -132,7 +132,7 @@ def test_isomorphism_invariance():
     g = random_connected_graph(rng)
     perm = list(rng.permutation(g.num_nodes))
     relabeled = build_graph(
-        g.num_nodes, [(perm[u], perm[v]) for u, v in g.edges]
+        g.num_nodes, [(perm[u], perm[v]) for u, v in g.edges.tolist()]
     )
     original = betweenness_brandes(g)
     mapped = betweenness_brandes(relabeled)

@@ -15,6 +15,8 @@ from boundary_vicinity import (
     modularity,
     preferential_attachment,
 )
+from boundary_vicinity.community import _aggregate, _LevelGraph, _one_level
+from conftest import edge_tuples
 
 
 def all_partitions(items):
@@ -51,7 +53,7 @@ def best_partition_bruteforce(g):
 def to_networkx(g):
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.num_nodes))
-    nxg.add_edges_from(g.edges)
+    nxg.add_edges_from(g.edges.tolist())
     return nxg
 
 
@@ -87,6 +89,89 @@ def test_modularity_range_on_random_labelings(karate):
     for _ in range(20):
         labels = rng.integers(0, 4, size=karate.num_nodes)
         assert -0.5 <= modularity(karate, list(labels)) <= 1.0
+
+
+def modularity_reference(g, labels):
+    """The per-edge dict loop: terms added in order of first endpoint."""
+    m = g.num_edges
+    internal, endpoint = {}, {}
+    for u, v in edge_tuples(g):
+        cu, cv = labels[u], labels[v]
+        if cu == cv:
+            internal[cu] = internal.get(cu, 0) + 1
+        endpoint[cu] = endpoint.get(cu, 0) + 1
+        endpoint[cv] = endpoint.get(cv, 0) + 1
+    q = 0.0
+    for c, ends in endpoint.items():
+        e_c = internal.get(c, 0) / m
+        a_c = ends / (2 * m)
+        q += e_c - a_c * a_c
+    return q
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_modularity_bit_identical_to_dict_loop(seed):
+    rng = np.random.default_rng(seed)
+    g = preferential_attachment(200, 2, seed=seed)
+    for k in (1, 2, 7, 60, 200):
+        labels = rng.integers(0, k, size=g.num_nodes) * 1000 - 5  # sparse, negative labels
+        assert modularity(g, labels) == modularity_reference(g, labels.tolist())
+
+
+def level_reference(num_nodes, weights, self_weights):
+    """A level graph built pair by pair: each node's (neighbour, weight) list in pair order."""
+    neighbors = [[] for _ in range(num_nodes)]
+    for (u, v), w in weights.items():
+        neighbors[u].append((v, w))
+        neighbors[v].append((u, w))
+    strength = [sum(w for _, w in neighbors[i]) + 2.0 * self_weights[i]
+                for i in range(num_nodes)]
+    return neighbors, list(self_weights), strength
+
+
+def aggregate_reference(neighbors, self_weights, comm):
+    """The per-edge aggregation scan: pairs keyed in first-seen order."""
+    renumber = {old: new for new, old in enumerate(sorted(set(comm)))}
+    dense = [renumber[c] for c in comm]
+    weights = {}
+    self_w = [0.0] * len(renumber)
+    for i, row in enumerate(neighbors):
+        self_w[dense[i]] += self_weights[i]
+        for j, w in row:
+            if j < i:
+                continue
+            if dense[i] == dense[j]:
+                self_w[dense[i]] += w
+            else:
+                key = (min(dense[i], dense[j]), max(dense[i], dense[j]))
+                weights[key] = weights.get(key, 0.0) + w
+    return level_reference(len(renumber), weights, self_w), dense
+
+
+@pytest.mark.parametrize("kind", ["karate", "er", "pa", "disjoint"])
+def test_level_graphs_match_pair_by_pair_reference(kind, karate, two_triangles_disjoint):
+    """Neighbour order decides the local-move queue, so every level must keep it."""
+    g = {"karate": karate, "er": erdos_renyi(200, 0.03, seed=4),
+         "pa": preferential_attachment(300, 2, seed=5), "disjoint": two_triangles_disjoint}[kind]
+    level = _LevelGraph.from_graph(g)
+    expected = level_reference(g.num_nodes, {e: 1.0 for e in edge_tuples(g)}, [0.0] * g.num_nodes)
+    rng = np.random.default_rng(0)
+    levels = 0
+    while True:
+        bounds = level.indptr.tolist()
+        pairs = list(zip(level.neighbors.tolist(), level.weights.tolist()))
+        assert [pairs[a:b] for a, b in zip(bounds, bounds[1:])] == expected[0]
+        assert level.self_weights.tolist() == expected[1]
+        assert level.strength.tolist() == expected[2]
+        assert level.total_weight == sum(w for _, w in pairs) / 2 + sum(expected[1])
+        comm, _ = _one_level(level, rng)
+        expected, dense = aggregate_reference(expected[0], expected[1], comm)
+        level, got_dense = _aggregate(level, comm)
+        assert got_dense.tolist() == dense
+        levels += 1
+        if len(expected[0]) == len(comm):
+            break
+    assert levels >= 2
 
 
 def test_detect_recovers_two_disjoint_triangles(two_triangles_disjoint):
@@ -214,8 +299,8 @@ def test_mask_excludes_cross_edge(two_triangles_bridged):
     c_left = labeling.labels[0]
     mask = community_mask(two_triangles_bridged, labeling)
     assert mask.num_nodes == 6
-    assert (2, 3) not in mask.edges
-    left = [e for e in mask.edges if labeling.labels[e[0]] == c_left]
+    assert (2, 3) not in edge_tuples(mask)
+    left = [e for e in edge_tuples(mask) if labeling.labels[e[0]] == c_left]
     assert left == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -228,8 +313,8 @@ def test_mask_whole_graph_single_community(karate):
         labels=(0,) * karate.num_nodes, modularity=0.0, num_communities=1
     )
     mask = community_mask(karate, single)
-    assert mask.edges == karate.edges
-    assert mask.adjacency == karate.adjacency
+    assert np.array_equal(mask.edges, karate.edges)
+    assert all(np.array_equal(a, b) for a, b in zip(mask.csr, karate.csr))
 
 
 def test_mask_cross_only_community_keeps_isolated_nodes():

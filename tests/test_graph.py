@@ -13,7 +13,7 @@ from boundary_vicinity import (
     subgraph,
     write_edge_list,
 )
-from conftest import random_connected_graph
+from conftest import edge_tuples, neighbors, random_connected_graph
 
 
 def test_load_two_edge_path():
@@ -58,20 +58,103 @@ def test_load_empty_input_errors():
         load_edge_list(io.StringIO("# only a comment\n"))
 
 
+def load_edge_list_reference(lines):
+    """The per-line loader: intern, then drop a self-loop or an edge already seen.
+
+    Returns names, edges as (u, v) tuples with u < v, sorted neighbour
+    tuples per node, and the two drop counts.
+    """
+    ids = {}
+    edges = []
+    seen = set()
+    self_loops = duplicates = 0
+    for line in lines:
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        u, v = (ids.setdefault(token, len(ids)) for token in text.replace(",", " ").split())
+        if u == v:
+            self_loops += 1
+            continue
+        edge = (min(u, v), max(u, v))
+        if edge in seen:
+            duplicates += 1
+            continue
+        seen.add(edge)
+        edges.append(edge)
+    adjacency = [[] for _ in ids]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return tuple(ids), edges, [tuple(sorted(row)) for row in adjacency], self_loops, duplicates
+
+
+def random_edge_lines(rng, num_lines):
+    """Edge-list lines over string and integer tokens, with every kind of noise."""
+    tokens = [str(t) for t in rng.integers(-5, 40, size=12)] + [f"n{i}" for i in range(12)]
+    lines = []
+    pairs = []
+    for _ in range(num_lines):
+        kind = rng.integers(8)
+        a, b = (tokens[i] for i in rng.integers(len(tokens), size=2))
+        if kind == 0:
+            lines.append(rng.choice(["", "   ", "# comment", "  # 1 2"]))
+            continue
+        if kind == 1:
+            b = a  # self-loop
+        elif kind in (2, 3) and pairs:
+            a, b = pairs[rng.integers(len(pairs))]
+            if kind == 3:
+                a, b = b, a  # duplicate in the other orientation
+        pairs.append((a, b))
+        lines.append(rng.choice([f"{a} {b}", f"{a},{b}", f"  {a}\t{b} ", f"{a}, {b}"]))
+    lines.append(f"{pairs[0][0]} {pairs[0][1]}" if pairs else "x y")
+    return [line + "\n" for line in lines]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_load_matches_per_line_reference(seed):
+    rng = np.random.default_rng(seed)
+    lines = random_edge_lines(rng, int(rng.integers(1, 300)))
+    g = load_edge_list(io.StringIO("".join(lines)))
+    names, edges, adjacency, self_loops, duplicates = load_edge_list_reference(lines)
+    assert g.names == names
+    assert g.num_nodes == len(names)
+    assert edge_tuples(g) == tuple(edges)
+    assert [neighbors(g, v) for v in range(g.num_nodes)] == adjacency
+    assert g.self_loops_dropped == self_loops
+    assert g.duplicates_dropped == duplicates
+
+
 def test_adjacency_consistent_with_edges(karate):
-    assert sum(len(n) for n in karate.adjacency) == 2 * karate.num_edges
-    for u, v in karate.edges:
-        assert v in karate.adjacency[u]
-        assert u in karate.adjacency[v]
-    for neighbors in karate.adjacency:
-        assert list(neighbors) == sorted(neighbors)
-        assert len(set(neighbors)) == len(neighbors)
+    assert karate.edges.dtype == np.int64
+    assert karate.edges.shape == (karate.num_edges, 2)
+    assert np.all(karate.edges[:, 0] < karate.edges[:, 1])
+    assert not karate.edges.flags.writeable
+    assert sum(karate.degree(v) for v in range(karate.num_nodes)) == 2 * karate.num_edges
+    for u, v in edge_tuples(karate):
+        assert v in neighbors(karate, u)
+        assert u in neighbors(karate, v)
+    for v in range(karate.num_nodes):
+        row = neighbors(karate, v)
+        assert list(row) == sorted(row)
+        assert len(set(row)) == len(row)
+
+
+def adjacency_reference(g):
+    """Sorted neighbour tuples per node, built from the edge rows one at a time."""
+    adjacency = [[] for _ in range(g.num_nodes)]
+    for u, v in edge_tuples(g):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return [tuple(sorted(row)) for row in adjacency]
 
 
 def test_csr_matches_adjacency(karate):
     isolated = build_graph(5, [(0, 3), (3, 1), (1, 0)])  # nodes 2 and 4 have no edge
     walk_graph = community_mask(karate, detect_communities(karate, seed=0))
     for g in (karate, isolated, walk_graph, build_graph(0, [])):
+        adjacency = adjacency_reference(g)
         indptr, indices = g.csr
         assert g.csr is g.csr  # built once
         assert indptr.dtype == indices.dtype == np.int64
@@ -79,7 +162,7 @@ def test_csr_matches_adjacency(karate):
         assert indptr[-1] == len(indices) == 2 * g.num_edges
         for v in range(g.num_nodes):
             row = indices[indptr[v]:indptr[v + 1]]
-            assert tuple(row.tolist()) == g.adjacency[v]
+            assert tuple(row.tolist()) == adjacency[v]
             assert np.all(np.diff(row) > 0)
         for array in (indptr, indices):
             assert not array.flags.writeable
@@ -94,7 +177,7 @@ def test_round_trip_preserves_edge_set(karate):
     write_edge_list(karate, buffer)
     buffer.seek(0)
     again = load_edge_list(buffer)
-    assert set(again.edges) == set(karate.edges)
+    assert set(edge_tuples(again)) == set(edge_tuples(karate))
     assert again.num_nodes == karate.num_nodes
     # a second round trip is byte-identical
     buffer2 = io.StringIO()
@@ -147,7 +230,7 @@ def test_subgraph_keeps_internal_edge():
 def test_subgraph_identity():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     sub, mapping = subgraph(g, range(4))
-    assert sub.edges == g.edges
+    assert np.array_equal(sub.edges, g.edges)
     assert mapping == {v: v for v in range(4)}
 
 
@@ -173,10 +256,19 @@ def test_subgraph_degrees_never_grow():
             assert sub.degree(new) <= g.degree(old)
 
 
-def test_build_graph_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        build_graph(2, [(0, 0)])
-    with pytest.raises(ValueError):
-        build_graph(2, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        build_graph(2, [(0, 5)])
+@pytest.mark.parametrize("num_nodes,edges,message", [
+    pytest.param(2, [(0, 0)], "self-loop at node 0", id="self-loop"),
+    pytest.param(2, [(0, 1), (1, 0)], "duplicate edge (0, 1)", id="reversed-duplicate"),
+    pytest.param(2, [(0, 5)], "edge (0, 5) out of range for 2 nodes", id="out-of-range"),
+    pytest.param(3, [(0, 1), (2, -1)], "edge (2, -1) out of range for 3 nodes", id="negative-id"),
+    pytest.param(-1, [], "num_nodes must be nonnegative", id="negative-num-nodes"),
+    pytest.param(4, np.array([[0, 1], [2, 1], [3, 3], [1, 2]]), "self-loop at node 3",
+                 id="ndarray"),
+    pytest.param(6, [(0, 1), (1, 2), (4, 3), (5, 9), (3, 4), (2, 2)],
+                 "edge (5, 9) out of range for 6 nodes", id="bad-after-good"),
+])
+def test_build_graph_rejects_bad_edges(num_nodes, edges, message):
+    """The message names the first offending edge in input order."""
+    with pytest.raises(ValueError) as excinfo:
+        build_graph(num_nodes, edges)
+    assert str(excinfo.value) == message

@@ -1,10 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from boundary_vicinity import (
-    EventSeries,
     bin_events,
     control_series,
     detect_spikes,
@@ -26,13 +26,15 @@ def bin_events_reference(events, window_seconds, node_filter=None):
         totals[w] += 1
         seen[w].add(node)
     actives = np.array([len(s) for s in seen], dtype=np.int64)
-    return EventSeries(window_seconds=window_seconds, t0=t0, totals=totals, actives=actives)
+    return SimpleNamespace(window_seconds=window_seconds, t0=t0, totals=totals, actives=actives,
+                           num_windows=num_windows)
 
 
 def test_bin_counts_distinct_actives():
     events = [(100, 7), (110, 7), (150, 7)]
     series = bin_events(events, 60, node_filter={7})
     assert series.totals.tolist() == [3]
+    assert "actives" not in vars(series)  # computed on first read only
     assert series.actives.tolist() == [1]
 
 

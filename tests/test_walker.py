@@ -29,6 +29,7 @@ from boundary_vicinity import (
     scale_community_weights,
 )
 from boundary_vicinity.walker import _walk_rng, _walk_uniforms
+from conftest import neighbors as graph_neighbors
 
 
 def enumerate_visit_moments(mask, start, stepnum):
@@ -38,7 +39,7 @@ def enumerate_visit_moments(mask, start, stepnum):
     second = np.zeros(n)
 
     def recurse(current, step, visits, prob):
-        neighbors = mask.adjacency[current]
+        neighbors = graph_neighbors(mask, current)
         if step == stepnum or not neighbors:
             expected[:] += prob * visits
             second[:] += prob * visits * visits
@@ -257,7 +258,7 @@ def graph_with_isolated_origin():
     planted = connect_communities(
         [erdos_renyi(30, 0.2, seed=20 + i) for i in range(2)], k=4, seed=2
     )
-    g = build_graph(61, list(planted.graph.edges) + [(0, 60)])
+    g = build_graph(61, planted.graph.edges.tolist() + [(0, 60)])
     labels = tuple(planted.planted_labels) + (2,)
     labeling = CommunityLabeling(labels, modularity(g, labels), 3)
     return g, labeling, boundary_edges(g, labeling)
@@ -500,3 +501,61 @@ def test_bva_matches_exact_expectation_at_scale():
     # no origin is a dead end, so every walk takes all stepnum steps
     assert degree[origins].min() > 0
     assert scores.raw.sum() == pytest.approx(expected.sum(), rel=1e-12)
+
+
+def test_bva_matches_exact_expectation_at_1e5_nodes():
+    """Scores on 3xPA(30000, 3), k=200 (90k nodes) against the exact expected score.
+
+    The planted labels stand in for Louvain. The exact score is
+    sum_b |c_b|/N * sum_{t=0..stepnum} delta_b P_c^t, taken by stepnum
+    ``bincount`` mat-vecs over the intra-community edges. The tolerance is
+    Bernstein's bound for a sum of independent per-walk contributions, per
+    node: walk w of origin b adds |c_b|/N / n_b times its visit count, at
+    most stepnum + 1, so the contributions have variance at most
+    sum_b (|c_b|/N)^2 (stepnum + 1) / n_b * E[visits from b] (one more
+    mat-vec pass) and range at most max_b |c_b|/N (stepnum + 1) / n_b. A
+    false alarm at any of the N nodes has probability at most 1e-3.
+    """
+    parts = [preferential_attachment(30000, 3, seed=i) for i in range(3)]
+    planted = connect_communities(parts, k=200, seed=0)
+    g = planted.graph
+    labeling = CommunityLabeling(
+        labels=planted.planted_labels,
+        modularity=modularity(g, planted.planted_labels),
+        num_communities=3,
+    )
+    bset = boundary_edges(g, labeling)
+    scores = bva(g, labeling, bset, WalkConfig(walknum=400, seed=0))
+    n, stepnum = g.num_nodes, scores.walk.stepnum
+    assert n == 90_000
+
+    labels = np.array(labeling.labels)
+    inside = g.edges[labels[g.edges[:, 0]] == labels[g.edges[:, 1]]]
+    src = np.concatenate([inside[:, 0], inside[:, 1]])
+    dst = np.concatenate([inside[:, 1], inside[:, 0]])
+    degree = np.bincount(src, minlength=n)
+
+    def propagate(mass):
+        total = mass.copy()
+        for _ in range(stepnum):
+            mass = np.bincount(dst, weights=mass[src] / degree[src], minlength=n)
+            total += mass
+        return total
+
+    origins = np.array(bset.boundary_nodes)
+    used = np.array([scores.walkers_used[b] for b in bset.boundary_nodes], dtype=float)
+    share = np.bincount(labels)[labels[origins]] / n
+    expected = propagate(np.bincount(origins, weights=share, minlength=n))
+    variance = propagate(np.bincount(origins, weights=share**2 * (stepnum + 1) / used,
+                                     minlength=n))
+    log_term = np.log(2 * n / 1e-3)
+    largest_step = np.max(share * (stepnum + 1) / used)
+    bound = np.sqrt(2.0 * variance * log_term) + 2.0 / 3.0 * largest_step * log_term
+    assert bound.max() < expected.max()  # the check can fail
+    assert np.all(np.abs(scores.raw - expected) <= bound)
+    assert not np.any(scores.raw[expected == 0])
+    # no origin is a dead end and no walk leaves its community, so every walk
+    # adds stepnum + 1 visits to its origin's community: each community's mass is exact
+    assert degree[origins].min() > 0
+    mass = np.bincount(labels, weights=scores.raw)
+    assert np.allclose(mass, np.bincount(labels, weights=expected), rtol=1e-12, atol=0)
