@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .pipeline import (
     write_components_csv,
     write_scores_csv,
     write_scores_dot,
+    write_node_table,
     write_scores_json,
 )
 from .temporal import bin_events, control_series, detect_spikes
@@ -57,7 +59,7 @@ class UsageError(Exception):
     pass
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -77,22 +79,44 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _read_labels(path: str, g: Graph) -> CommunityLabeling:
-    """Load a node_id,community_id CSV produced by the communities command."""
-    by_name = {g.name_of(v): v for v in range(g.num_nodes)}
-    labels = [-1] * g.num_nodes
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
+def _data_lines(path: str, header: str | None):
+    """Stripped lines of an input CSV, without blank lines, ``#`` comments and ``header``."""
     try:
         with open(path) as handle:
-            for line_number, line in enumerate(handle, start=1):
+            for line in handle:
                 text = line.strip()
-                if not text or text.startswith("#") or text == "node_id,community_id":
-                    continue
-                name, _, label = text.partition(",")
-                if name not in by_name:
-                    raise InputError(f"{path}: line {line_number}: unknown node {name!r}")
-                labels[by_name[name]] = int(label)
+                if text and text[0] != "#" and text != header:
+                    yield text
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _bad_line(path: str, header: str | None, index: int, problem: str) -> InputError:
+    """An error naming the line of ``path`` that holds data line ``index`` (from 0)."""
+    with open(path) as handle:
+        numbered = enumerate(handle, start=1)
+        # a skipped line is blank, "#" or the header, so it never equals a data line
+        for wanted in islice(_data_lines(path, header), index + 1):
+            line_number = next(n for n, line in numbered if line.strip() == wanted)
+    return InputError(f"{path}: line {line_number}: {problem}")
+
+
+def _read_labels(path: str, g: Graph) -> CommunityLabeling:
+    """Load a node_id,community_id CSV produced by the communities command."""
+    header = "node_id,community_id"
+    by_name = {g.name_of(v): v for v in range(g.num_nodes)}
+    labels = [-1] * g.num_nodes
+    for index, text in enumerate(_data_lines(path, header)):
+        name, _, label = text.partition(",")
+        if name not in by_name:
+            raise _bad_line(path, header, index, f"unknown node {name!r}")
+        labels[by_name[name]] = int(label)
     if any(v < 0 for v in labels):
         raise InputError(f"{path}: does not label every node of the graph")
     num = max(labels) + 1
@@ -103,20 +127,13 @@ def _read_labels(path: str, g: Graph) -> CommunityLabeling:
 def _read_scores(path: str) -> dict[str, float]:
     """Node score map from a CSV; the last column is the value."""
     scores: dict[str, float] = {}
-    try:
-        with open(path) as handle:
-            for line in handle:
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                fields = text.split(",")
-                try:
-                    value = float(fields[-1])
-                except ValueError:
-                    continue  # header row
-                scores[fields[0]] = value
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    for text in _data_lines(path, None):
+        fields = text.split(",")
+        try:
+            value = float(fields[-1])
+        except ValueError:
+            continue  # header row
+        scores[fields[0]] = value
     if not scores:
         raise InputError(f"{path}: no score rows found")
     return scores
@@ -124,25 +141,17 @@ def _read_scores(path: str) -> dict[str, float]:
 
 def _read_events(path: str, g: Graph) -> np.ndarray:
     """Load an epoch_seconds,node_id CSV as (N, 2) int64 ``[stamp, node]`` rows in file order."""
+    header = "epoch_seconds,node_id"
     by_name = {g.name_of(v): v for v in range(g.num_nodes)}
     stamps: list[str] = []
     nodes: list[int] = []
-    skipped: list[int] = []  # line numbers of blank, comment and header lines
-    try:
-        with open(path) as handle:
-            for line_number, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text or text[0] == "#" or text == "epoch_seconds,node_id":
-                    skipped.append(line_number)
-                    continue
-                stamp, _, name = text.partition(",")
-                node = by_name.get(name)
-                if node is None:
-                    raise InputError(f"{path}: line {line_number}: unknown node {name!r}")
-                stamps.append(stamp)
-                nodes.append(node)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    for text in _data_lines(path, header):
+        stamp, _, name = text.partition(",")
+        node = by_name.get(name)
+        if node is None:
+            raise _bad_line(path, header, len(stamps), f"unknown node {name!r}")
+        stamps.append(stamp)
+        nodes.append(node)
     if not stamps:
         raise InputError(f"{path}: no events found")
     events = np.empty((len(stamps), 2), dtype=np.int64)
@@ -154,15 +163,8 @@ def _read_events(path: str, g: Graph) -> np.ndarray:
                 np.array(stamp, dtype=np.int64)
             except (ValueError, OverflowError):
                 break
-        line_number = index + 1
-        for skip in skipped:  # ascending; each skipped line at or before it moves it one down
-            if skip > line_number:
-                break
-            line_number += 1
-        raise InputError(
-            f"{path}: line {line_number}: timestamp {stamps[index]!r} "
-            "is not a 64-bit integer"
-        ) from None
+        raise _bad_line(path, header, index,
+                        f"timestamp {stamp!r} is not a 64-bit integer") from None
     events[:, 1] = nodes
     return events
 
@@ -199,9 +201,7 @@ def cmd_pipeline(args) -> int:
                               seed=args.seed, q_threshold=args.q_threshold)
     with open(out / "boundary.csv", "w") as handle:
         write_boundary_csv(g, result.labeling, result.bset, handle)
-    with open(out / "manifest.json", "w") as handle:
-        json.dump(build_manifest(result), handle, indent=2)
-        handle.write("\n")
+    _write_json(out / "manifest.json", build_manifest(result))
     if result.scores.warning:
         print(f"warning: {result.scores.warning}", file=sys.stderr)
     if result.unconverged_fraction > args.unconverged_tolerance:
@@ -222,14 +222,12 @@ def cmd_components(args) -> int:
 
 def cmd_communities(args) -> int:
     g = _load_graph(args.input)
-    labeling, reports = detect_all_communities(
-        g, seed=args.seed, q_threshold=args.q_threshold
-    )
+    labeling, reports = detect_all_communities(g, seed=args.seed, q_threshold=args.q_threshold)
     out = _out_dir(args)
     with open(out / "communities.csv", "w") as handle:
         write_communities_csv(g, labeling, handle,
                               seed=args.seed, q_threshold=args.q_threshold)
-    summary = {
+    _write_json(out / "communities.json", {
         "num_communities": labeling.num_communities,
         "modularity": labeling.modularity,
         "passes": sum(r.passes for r in reports),
@@ -237,10 +235,7 @@ def cmd_communities(args) -> int:
         "seed": args.seed,
         "q_threshold": args.q_threshold,
         "components": len(reports),
-    }
-    with open(out / "communities.json", "w") as handle:
-        json.dump(summary, handle, indent=2)
-        handle.write("\n")
+    })
     return 0
 
 
@@ -289,38 +284,29 @@ def cmd_overlap(args) -> int:
 
 def cmd_generate(args) -> int:
     out = _out_dir(args)
-    if args.kind == "er":
-        recipe = f"kind=er n={args.n} p={args.p} seed={args.seed}"
-        g = erdos_renyi(args.n, args.p, seed=args.seed)
-    elif args.kind == "pa":
-        recipe = f"kind=pa n={args.n} m={args.m} seed={args.seed}"
-        g = preferential_attachment(args.n, args.m, seed=args.seed)
-    else:
-        param = f"p={args.p}" if args.part_kind == "er" else f"m={args.m}"
-        recipe = (f"kind=planted parts={args.parts} part_kind={args.part_kind} "
+    kind = args.part_kind if args.kind == "planted" else args.kind
+    param = f"p={args.p}" if kind == "er" else f"m={args.m}"
+
+    def make(seed: int) -> Graph:
+        if kind == "er":
+            return erdos_renyi(args.n, args.p, seed=seed)
+        return preferential_attachment(args.n, args.m, seed=seed)
+
+    if args.kind == "planted":
+        recipe = (f"kind=planted parts={args.parts} part_kind={kind} "
                   f"n={args.n} {param} k={args.k} seed={args.seed}")
-        if args.part_kind == "er":
-            parts = [
-                erdos_renyi(args.n, args.p, seed=args.seed * 7919 + i)
-                for i in range(args.parts)
-            ]
-        else:
-            parts = [
-                preferential_attachment(args.n, args.m, seed=args.seed * 7919 + i)
-                for i in range(args.parts)
-            ]
+        parts = [make(args.seed * 7919 + i) for i in range(args.parts)]
         planted = connect_communities(parts, args.k, seed=args.seed)
         g = planted.graph
         with open(out / "planted_labels.csv", "w") as handle:
-            handle.write(f"# {recipe}\n")
-            handle.write("node_id,community_id\n")
-            for v in range(g.num_nodes):
-                handle.write(f"{v},{planted.planted_labels[v]}\n")
+            write_node_table(g, handle, "node_id,community_id", planted.planted_labels,
+                             comment=recipe)
         with open(out / "planted_boundary.csv", "w") as handle:
-            handle.write(f"# {recipe}\n")
-            handle.write("node_id\n")
-            for v in planted.planted_boundary:
-                handle.write(f"{v}\n")
+            handle.write(f"# {recipe}\nnode_id\n")
+            handle.writelines(f"{v}\n" for v in planted.planted_boundary)
+    else:
+        recipe = f"kind={kind} n={args.n} {param} seed={args.seed}"
+        g = make(args.seed)
     with open(out / "graph.edges", "w") as handle:
         handle.write(f"# {recipe}\n")
         write_edge_list(g, handle)
@@ -366,9 +352,7 @@ def cmd_temporal(args) -> int:
             "spike_windows": list(spikes.spike_windows),
             "zscores": [z if math.isfinite(z) else str(z) for z in spikes.zscores],
         }
-    with open(out / "spikes.json", "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+    _write_json(out / "spikes.json", report)
     return 0
 
 
@@ -467,10 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

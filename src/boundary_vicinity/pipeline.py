@@ -37,8 +37,8 @@ class ComponentReport:
     modularity: float | None
     num_communities: int
     passes: int
+    local_moves: int  # Louvain local-move queue pops, summed over passes
     skipped: str | None  # reason, or None when communities were accepted
-    local_moves: int = 0  # Louvain local-move queue pops, summed over passes
 
 
 @dataclass
@@ -88,7 +88,7 @@ def detect_all_communities(
             next_label += 1
             reports.append(ComponentReport(
                 index=index, size=len(members), num_edges=0, modularity=None,
-                num_communities=1, passes=0, skipped="no_edges",
+                num_communities=1, passes=0, local_moves=0, skipped="no_edges",
             ))
             continue
         detected = detect_communities(sub, seed=component_seed(seed, index))
@@ -100,7 +100,7 @@ def detect_all_communities(
         reports.append(ComponentReport(
             index=index, size=len(members), num_edges=sub.num_edges,
             modularity=detected.modularity, num_communities=count,
-            passes=detected.passes, skipped=skipped, local_moves=detected.local_moves,
+            passes=detected.passes, local_moves=detected.local_moves, skipped=skipped,
         ))
     merged_q = modularity(g, labels) if g.num_edges > 0 else 0.0
     merged = CommunityLabeling(
@@ -139,16 +139,26 @@ def _run_params(result: PipelineResult) -> dict:
     return {"seed": result.seed, "q_threshold": result.q_threshold, **walk}
 
 
+def write_node_table(g: Graph, stream: TextIO, header: str, *columns: Sequence,
+                     comment: str | None = None) -> None:
+    """A CSV row per node: its token, then ``repr`` of its value in each column.
+
+    Columns hold Python ints or floats (``repr`` of a float reads back as the
+    same float). ``comment``, when given, goes first as a ``#`` line.
+    """
+    if comment is not None:
+        stream.write(f"# {comment}\n")
+    stream.write(f"{header}\n")
+    row = "{}" + ",{!r}" * len(columns) + "\n"
+    names = g.names if g.names is not None else range(g.num_nodes)
+    stream.writelines(map(row.format, names, *columns))
+
+
 def write_scores_csv(result: PipelineResult, stream: TextIO) -> None:
     params = " ".join(f"{k}={v}" for k, v in _run_params(result).items())
-    stream.write(f"# {params}\n")
-    stream.write("node_id,raw_score,normalized_score\n")
-    g = result.graph
-    for v in range(g.num_nodes):
-        stream.write(
-            f"{g.name_of(v)},{float(result.scores.raw[v])!r},"
-            f"{float(result.scores.normalized[v])!r}\n"
-        )
+    write_node_table(result.graph, stream, "node_id,raw_score,normalized_score",
+                     result.scores.raw.tolist(), result.scores.normalized.tolist(),
+                     comment=params)
 
 
 def write_scores_json(result: PipelineResult, stream: TextIO) -> None:
@@ -183,10 +193,7 @@ def write_scores_dot(g: Graph, normalized: Sequence[float], stream: TextIO) -> N
 
 
 def write_components_csv(g: Graph, stream: TextIO) -> None:
-    parts = connected_components(g)
-    stream.write("node_id,component_id\n")
-    for v in range(g.num_nodes):
-        stream.write(f"{g.name_of(v)},{parts.component_id[v]}\n")
+    write_node_table(g, stream, "node_id,component_id", connected_components(g).component_id)
 
 
 def write_communities_csv(
@@ -196,11 +203,8 @@ def write_communities_csv(
     seed: int | None = None,
     q_threshold: float | None = None,
 ) -> None:
-    if seed is not None:
-        stream.write(f"# seed={seed} q_threshold={q_threshold}\n")
-    stream.write("node_id,community_id\n")
-    for v in range(g.num_nodes):
-        stream.write(f"{g.name_of(v)},{labeling.labels[v]}\n")
+    comment = None if seed is None else f"seed={seed} q_threshold={q_threshold}"
+    write_node_table(g, stream, "node_id,community_id", labeling.labels, comment=comment)
 
 
 def write_boundary_csv(g: Graph, labeling: CommunityLabeling, bset: BoundarySet,
@@ -220,9 +224,8 @@ def write_boundary_nodes_csv(g: Graph, bset: BoundarySet, stream: TextIO) -> Non
 
 
 def write_betweenness_csv(g: Graph, values: Sequence[float], stream: TextIO) -> None:
-    stream.write("node_id,betweenness\n")
-    for v in range(g.num_nodes):
-        stream.write(f"{g.name_of(v)},{float(values[v])!r}\n")
+    write_node_table(g, stream, "node_id,betweenness",
+                     np.asarray(values, dtype=np.float64).tolist())
 
 
 def build_manifest(result: PipelineResult) -> dict:
@@ -239,19 +242,7 @@ def build_manifest(result: PipelineResult) -> dict:
             "self_loops_dropped": result.graph.self_loops_dropped,
             "duplicates_dropped": result.graph.duplicates_dropped,
         },
-        "components": [
-            {
-                "index": r.index,
-                "size": r.size,
-                "num_edges": r.num_edges,
-                "modularity": r.modularity,
-                "num_communities": r.num_communities,
-                "passes": r.passes,
-                "local_moves": r.local_moves,
-                "skipped": r.skipped,
-            }
-            for r in result.components
-        ],
+        "components": [asdict(r) for r in result.components],
         "modularity": result.labeling.modularity,
         "num_communities": result.labeling.num_communities,
         "num_boundary_edges": len(result.bset.boundary_edges),
