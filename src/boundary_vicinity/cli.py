@@ -30,9 +30,9 @@ from .pipeline import (
     write_boundary_nodes_csv,
     write_communities_csv,
     write_components_csv,
+    write_node_table,
     write_scores_csv,
     write_scores_dot,
-    write_node_table,
     write_scores_json,
 )
 from .temporal import bin_events, control_series, detect_spikes
@@ -114,9 +114,21 @@ def _read_labels(path: str, g: Graph) -> CommunityLabeling:
     labels = [-1] * g.num_nodes
     for index, text in enumerate(_data_lines(path, header)):
         name, _, label = text.partition(",")
-        if name not in by_name:
-            raise _bad_line(path, header, index, f"unknown node {name!r}")
-        labels[by_name[name]] = int(label)
+        v = by_name.get(name)
+        try:
+            community = int(label)
+        except ValueError:
+            community = -1
+        if v is None:
+            problem = f"unknown node {name!r}"
+        elif labels[v] >= 0:
+            problem = f"node {name!r} is listed twice"
+        elif community < 0:
+            problem = f"community {label!r} is not a nonnegative integer"
+        else:
+            labels[v] = community
+            continue
+        raise _bad_line(path, header, index, problem)
     if any(v < 0 for v in labels):
         raise InputError(f"{path}: does not label every node of the graph")
     num = max(labels) + 1
@@ -125,15 +137,22 @@ def _read_labels(path: str, g: Graph) -> CommunityLabeling:
 
 
 def _read_scores(path: str) -> dict[str, float]:
-    """Node score map from a CSV; the last column is the value."""
+    """Node score map from a CSV: the first field names the node, the last is its score.
+
+    Only the first data line may be a header: a line whose last field is not a number.
+    """
     scores: dict[str, float] = {}
-    for text in _data_lines(path, None):
-        fields = text.split(",")
+    for index, text in enumerate(_data_lines(path, None)):
+        name, _, rest = text.partition(",")
         try:
-            value = float(fields[-1])
+            value = float(rest.rpartition(",")[2])
         except ValueError:
-            continue  # header row
-        scores[fields[0]] = value
+            if index == 0:
+                continue  # the header
+            raise _bad_line(path, None, index, f"no numeric score in {text!r}") from None
+        if name in scores:
+            raise _bad_line(path, None, index, f"node {name!r} is listed twice")
+        scores[name] = value
     if not scores:
         raise InputError(f"{path}: no score rows found")
     return scores
@@ -270,15 +289,11 @@ def cmd_overlap(args) -> int:
         names = sorted(a)
     vec_a = [a[name] for name in names]
     vec_b = [b[name] for name in names]
-    if args.ks:
-        ks = [int(k) for k in args.ks.split(",")]
-    else:
-        ks = list(range(1, min(args.max_k, len(names)) + 1))
+    ks = args.ks or list(range(1, min(args.max_k, len(names)) + 1))
     curve = rank_overlap(vec_a, vec_b, ks)
     with open(_out_dir(args) / "overlap.csv", "w") as handle:
         handle.write("k,proportion\n")
-        for k, proportion in zip(curve.ks, curve.proportions):
-            handle.write(f"{k},{proportion!r}\n")
+        handle.writelines(map("{},{!r}\n".format, curve.ks, curve.proportions))
     return 0
 
 
@@ -330,11 +345,8 @@ def cmd_temporal(args) -> int:
         handle.write(f"# seed={args.seed} window={args.window} "
                      f"q_threshold={args.q_threshold} z_threshold={args.z_threshold}\n")
         handle.write("window_index,total,boundary_active,control_active\n")
-        for w in range(totals.num_windows):
-            handle.write(
-                f"{w},{totals.totals[w]},{boundary_series.actives[w]},"
-                f"{control.actives[w]}\n"
-            )
+        handle.writelines(map("{},{},{},{}\n".format, range(totals.num_windows),
+                              totals.totals, boundary_series.actives, control.actives))
     report = {
         "seed": args.seed,
         "window_seconds": args.window,
@@ -354,6 +366,20 @@ def cmd_temporal(args) -> int:
         }
     _write_json(out / "spikes.json", report)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(k) for k in text.split(",")]
 
 
 def _add_walk_flags(parser):
@@ -411,8 +437,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("overlap", help="top-k overlap curve between two score CSVs")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--ks", default=None, help="comma-separated k values")
-    p.add_argument("--max-k", type=int, default=50)
+    p.add_argument("--ks", type=_positive_ints, default=None,
+                   help="comma-separated k values")
+    p.add_argument("--max-k", type=_positive_int, default=50)
     p.add_argument("--out", "-o", default=".")
     p.set_defaults(func=cmd_overlap)
 
@@ -432,7 +459,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("temporal", help="windowed boundary activity vs control")
     common(p)
     p.add_argument("--events", required=True, help="epoch_seconds,node_id CSV")
-    p.add_argument("--window", type=int, default=60, help="window size in seconds")
+    p.add_argument("--window", type=_positive_int, default=60,
+                   help="window size in seconds")
     p.add_argument("--q-threshold", type=float, default=DEFAULT_Q_THRESHOLD)
     p.add_argument("--z-threshold", type=float, default=3.0)
     p.set_defaults(func=cmd_temporal)

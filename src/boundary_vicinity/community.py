@@ -176,18 +176,14 @@ def _weighted_modularity(level: _LevelGraph) -> float:
     return float(np.sum(level.self_weights / m - (level.strength / (2.0 * m)) ** 2))
 
 
-def detect_communities(
-    g: Graph,
-    seed: int = 0,
-    min_modularity_gain: float = DEFAULT_MIN_MODULARITY_GAIN,
-) -> CommunityLabeling:
+def detect_communities(g: Graph, seed: int = 0) -> CommunityLabeling:
     """Two-phase greedy Louvain decomposition of ``g``.
 
     Alternates a queue-driven local-move phase (see ``_one_level``) with
     community aggregation until a pass improves modularity by less than
-    ``min_modularity_gain``. Each level's initial queue order is shuffled by
-    ``seed``; given the same graph and seed the result is identical run to
-    run. Disconnected graphs are accepted.
+    ``DEFAULT_MIN_MODULARITY_GAIN``. Each level's initial queue order is
+    shuffled by ``seed``; given the same graph and seed the result is
+    identical run to run. Disconnected graphs are accepted.
 
     Louvain can leave a community in pieces with no edge between them
     (Traag, Waltman & van Eck 2019). Each connected piece becomes its own
@@ -213,7 +209,7 @@ def detect_communities(
         assignment = dense[assignment]
         q = _weighted_modularity(level)
         trace.append(q)
-        if q - prev_q < min_modularity_gain:
+        if q - prev_q < DEFAULT_MIN_MODULARITY_GAIN:
             break
         prev_q = q
 

@@ -141,15 +141,16 @@ def _run_params(result: PipelineResult) -> dict:
 
 def write_node_table(g: Graph, stream: TextIO, header: str, *columns: Sequence,
                      comment: str | None = None) -> None:
-    """A CSV row per node: its token, then ``repr`` of its value in each column.
+    """A CSV row per node: its token, then its value in each column.
 
-    Columns hold Python ints or floats (``repr`` of a float reads back as the
-    same float). ``comment``, when given, goes first as a ``#`` line.
+    Columns hold Python ints or floats; a float is written as its ``repr``,
+    which reads back as the same float. ``comment``, when given, goes first
+    as a ``#`` line.
     """
     if comment is not None:
         stream.write(f"# {comment}\n")
     stream.write(f"{header}\n")
-    row = "{}" + ",{!r}" * len(columns) + "\n"
+    row = "{}" + ",{}" * len(columns) + "\n"  # str of a Python float is its repr
     names = g.names if g.names is not None else range(g.num_nodes)
     stream.writelines(map(row.format, names, *columns))
 

@@ -307,6 +307,32 @@ def test_overlap_command(bridge_file, tmp_path):
     rows = (curve_out / "overlap.csv").read_text().splitlines()
     assert rows[0] == "k,proportion"
     assert rows[1:] == ["1,1.0", "2,1.0", "6,1.0"]
+    # a k above the node count depends on the input, so it is an input error
+    assert main(["overlap", "--a", str(out / "betweenness.csv"),
+                 "--b", str(out / "betweenness.csv"), "--ks", "7",
+                 "--out", str(curve_out)]) == 2
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("node_id,betweenness\n0,1.0\n2,abc\n3,2.0\n", 3, "no numeric score in '2,abc'"),
+    ("0,1.0\nnode_id,betweenness\n", 2, "no numeric score in 'node_id,betweenness'"),
+    ("# c\nnode_id,x,score\n\n4,0.5,2.0\n5\n", 5, "no numeric score in '5'"),
+    ("node_id,b\n0,1.0\n# c\n0,2.0\n", 4, "node '0' is listed twice"),
+], ids=["bad-row-after-header", "header-not-first", "one-field-row", "listed-twice"])
+def test_bad_score_row_named_with_exit_2(tmp_path, bridge_file, capsys, body, line,
+                                         message):
+    """Only the first data line may be a header; a later bad row stops the command."""
+    main(["betweenness", "--input", str(bridge_file), "--out", str(tmp_path / "bw")])
+    bad = tmp_path / "bad.csv"
+    bad.write_text(body)
+    for a, b in ((tmp_path / "bw" / "betweenness.csv", bad), (bad, bad)):
+        code = main(["overlap", "--a", str(a), "--b", str(b), "--max-k", "6",
+                     "--out", str(tmp_path / "curve")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{bad}: line {line}: {message}" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "curve").exists()
 
 
 def test_generate_er_deterministic(tmp_path):
@@ -360,6 +386,14 @@ def test_usage_error_exit_code():
     assert main(["pipeline"]) == 1  # missing --input
     assert main(["no-such-command"]) == 1
     assert main(["pipeline", "--input", "unused.edges", "--walknum", "2"]) == 1
+    # flag values are checked before any input is read: none of these files exist
+    scores = ["overlap", "--a", "unused.csv", "--b", "unused.csv"]
+    for flags in (["--ks", "0"], ["--ks", "a"], ["--ks", "1,,2"], ["--ks", "3,-1"],
+                  ["--max-k", "0"], ["--max-k", "x"]):
+        assert main(scores + flags) == 1, flags
+    events = ["temporal", "--input", "unused.edges", "--events", "unused.csv"]
+    for window in ("0", "-60", "1.5"):
+        assert main(events + ["--window", window]) == 1, window
 
 
 def test_missing_input_exit_code(tmp_path):
@@ -399,6 +433,8 @@ def test_read_events_line_rules(tmp_path, bridge_file):
     ("# c\n10,0\n99999999999999999999,1\n", 3, "timestamp '99999999999999999999'"),
     ("10,0\n9223372036854775808,1\n", 2, "is not a 64-bit integer"),
     ("\n\n#\n,2\n", 4, "timestamp ''"),
+    ("10,0\n# c\n16x,1\n\n20,2\n", 3, "timestamp '16x' is not a 64-bit integer"),
+    ("epoch_seconds,node_id\n10,0\n10,7\n20,2\n", 3, "unknown node '7'"),
 ])
 def test_bad_event_line_named_with_exit_2(tmp_path, bridge_file, capsys, body, line,
                                           message):
@@ -411,6 +447,37 @@ def test_bad_event_line_named_with_exit_2(tmp_path, bridge_file, capsys, body, l
     assert f"{events}: line {line}: " in err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("node_id,community_id\n0,0\n1,x\n2,0\n", 3,
+     "community 'x' is not a nonnegative integer"),
+    ("0,0\n1,-1\n", 2, "community '-1' is not a nonnegative integer"),
+    ("# c\n0,0\n\n1,\n", 4, "community '' is not a nonnegative integer"),
+    ("0,0\n1,0\n\n0,1\n\n2,0\n", 4, "node '0' is listed twice"),
+    ("# c\n0,0\n9,0\n", 3, "unknown node '9'"),
+], ids=["not-an-integer", "negative", "empty", "listed-twice", "unknown-node"])
+def test_bad_label_line_named_with_exit_2(tmp_path, bridge_file, capsys, body, line,
+                                          message):
+    labels = tmp_path / "labels.csv"
+    labels.write_text(body)
+    code = main(["boundary", "--input", str(bridge_file), "--labels", str(labels),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{labels}: line {line}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_labels_missing_a_node_exit_2(tmp_path, bridge_file, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("node_id,community_id\n0,0\n1,0\n2,0\n3,1\n4,1\n")
+    assert main(["boundary", "--input", str(bridge_file), "--labels", str(labels),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{labels}: does not label every node of the graph" in capsys.readouterr().err
+    labels.write_text("node_id,community_id\n0,0\n1,0\n2,0\n3,1\n4,1\n5,1\n")
+    assert main(["boundary", "--input", str(bridge_file), "--labels", str(labels),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_temporal_boundary_outnumbering_the_rest_exits_2(tmp_path, capsys):
