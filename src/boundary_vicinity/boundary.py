@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,19 +10,18 @@ from .community import CommunityLabeling
 from .graph import Graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundarySet:
-    """Cross-community edges and their endpoints.
+    """Cross-community edges and their endpoints, as read-only int64 arrays.
 
-    ``boundary_edges`` keeps edge-list order; ``boundary_nodes`` is sorted
-    ascending so downstream accumulation order is reproducible.
-    ``home_community`` maps each boundary node to its own community label,
-    which is the community a walker launched from that node is confined to.
+    ``boundary_edges`` is (K, 2), one ``g.edges`` row per crossing edge in
+    edge-list order; ``boundary_nodes`` is its distinct endpoints, ascending,
+    so downstream accumulation order is reproducible. A walker launched from
+    a boundary node is confined to that node's own community.
     """
 
-    boundary_edges: tuple[tuple[int, int], ...]
-    boundary_nodes: tuple[int, ...]
-    home_community: dict[int, int] = field(default_factory=dict)
+    boundary_edges: np.ndarray
+    boundary_nodes: np.ndarray
 
 
 def boundary_edges(g: Graph, labeling: CommunityLabeling) -> BoundarySet:
@@ -31,15 +30,10 @@ def boundary_edges(g: Graph, labeling: CommunityLabeling) -> BoundarySet:
     Relabeling communities by any permutation leaves the result unchanged;
     only label equality matters.
     """
-    if len(labeling.labels) != g.num_nodes:
-        raise ValueError(
-            f"labeling covers {len(labeling.labels)} nodes, graph has {g.num_nodes}"
-        )
-    labels = np.asarray(labeling.labels)
+    labels = labeling.labels
+    if len(labels) != g.num_nodes:
+        raise ValueError(f"labeling covers {len(labels)} nodes, graph has {g.num_nodes}")
     crossing = g.edges[labels[g.edges[:, 0]] != labels[g.edges[:, 1]]]
-    nodes = np.unique(crossing).tolist()
-    return BoundarySet(
-        boundary_edges=tuple(map(tuple, crossing.tolist())),
-        boundary_nodes=tuple(nodes),
-        home_community={v: labeling.labels[v] for v in nodes},
-    )
+    nodes = np.unique(crossing)
+    crossing.flags.writeable = nodes.flags.writeable = False
+    return BoundarySet(boundary_edges=crossing, boundary_nodes=nodes)

@@ -129,11 +129,12 @@ def _read_labels(path: str, g: Graph) -> CommunityLabeling:
             labels[v] = community
             continue
         raise _bad_line(path, header, index, problem)
-    if any(v < 0 for v in labels):
+    labels = np.array(labels)
+    if (labels < 0).any():
         raise InputError(f"{path}: does not label every node of the graph")
-    num = max(labels) + 1
     q = modularity(g, labels) if g.num_edges > 0 else 0.0
-    return CommunityLabeling(labels=tuple(labels), modularity=q, num_communities=num)
+    return CommunityLabeling(labels=labels, modularity=q,
+                             num_communities=int(labels.max()) + 1)
 
 
 def _read_scores(path: str) -> dict[str, float]:
@@ -266,7 +267,7 @@ def cmd_boundary(args) -> int:
     with open(out / "boundary.csv", "w") as handle:
         write_boundary_csv(g, labeling, bset, handle)
     with open(out / "boundary_nodes.csv", "w") as handle:
-        write_boundary_nodes_csv(g, bset, handle)
+        write_boundary_nodes_csv(g, labeling, bset, handle)
     return 0
 
 
@@ -281,8 +282,11 @@ def cmd_betweenness(args) -> int:
 def cmd_overlap(args) -> int:
     a = _read_scores(args.a)
     b = _read_scores(args.b)
-    if set(a) != set(b):
-        raise InputError("score files cover different node sets")
+    for path, names, other, known in ((args.b, b, args.a, a), (args.a, a, args.b, b)):
+        extra = next((name for name in names if name not in known), None)
+        if extra is not None:
+            raise InputError(f"score files cover different node sets: {path} lists "
+                             f"node {extra!r}, {other} does not")
     try:
         names = sorted(a, key=int)
     except ValueError:
@@ -298,6 +302,11 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.kind == "planted":
+        if args.parts < 2:
+            raise UsageError(f"--parts {args.parts}: need at least two parts to stitch")
+        if args.k < args.parts - 1:
+            raise UsageError(f"--k {args.k}: cross edges cannot connect {args.parts} parts")
     out = _out_dir(args)
     kind = args.part_kind if args.kind == "planted" else args.kind
     param = f"p={args.p}" if kind == "er" else f"m={args.m}"
@@ -318,7 +327,7 @@ def cmd_generate(args) -> int:
                              comment=recipe)
         with open(out / "planted_boundary.csv", "w") as handle:
             handle.write(f"# {recipe}\nnode_id\n")
-            handle.writelines(f"{v}\n" for v in planted.planted_boundary)
+            handle.writelines(f"{v}\n" for v in planted.planted_boundary.tolist())
     else:
         recipe = f"kind={kind} n={args.n} {param} seed={args.seed}"
         g = make(args.seed)
@@ -333,13 +342,11 @@ def cmd_temporal(args) -> int:
     events = _read_events(args.events, g)
     # TODO: optional per-window boundary recomputation for evolving networks
     labeling, _ = detect_all_communities(g, seed=args.seed, q_threshold=args.q_threshold)
-    bset = boundary_edges(g, labeling)
-    boundary_nodes = set(bset.boundary_nodes)
+    boundary_nodes = boundary_edges(g, labeling).boundary_nodes
     totals = bin_events(events, args.window)
     boundary_series = bin_events(events, args.window, node_filter=boundary_nodes)
-    control = control_series(
-        events, boundary_nodes, set(range(g.num_nodes)), args.window, seed=args.seed
-    )
+    control = control_series(events, boundary_nodes, range(g.num_nodes), args.window,
+                             seed=args.seed)
     out = _out_dir(args)
     with open(out / "temporal.csv", "w") as handle:
         handle.write(f"# seed={args.seed} window={args.window} "
@@ -397,9 +404,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, input_flag=True):
-        if input_flag:
-            p.add_argument("--input", "-i", required=True, help="edge-list file")
+    def common(p):
+        p.add_argument("--input", "-i", required=True, help="edge-list file")
         p.add_argument("--out", "-o", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
 
@@ -445,10 +451,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="synthetic graphs (er | pa | planted)")
     p.add_argument("kind", choices=("er", "pa", "planted"))
-    p.add_argument("--n", type=int, default=100, help="nodes per graph/part")
+    p.add_argument("--n", type=_positive_int, default=100, help="nodes per graph/part")
     p.add_argument("--p", type=float, default=0.06, help="ER edge probability")
-    p.add_argument("--m", type=int, default=2, help="PA edges per arrival")
-    p.add_argument("--parts", type=int, default=3, help="planted: number of parts")
+    p.add_argument("--m", type=_positive_int, default=2, help="PA edges per arrival")
+    p.add_argument("--parts", type=_positive_int, default=3, help="planted: number of parts")
     p.add_argument("--part-kind", choices=("er", "pa"), default="er",
                    help="planted: generator for each part")
     p.add_argument("--k", type=int, default=26, help="planted: cross-linker count")

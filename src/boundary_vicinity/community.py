@@ -17,23 +17,29 @@ DEFAULT_MIN_MODULARITY_GAIN = 1e-7
 DEFAULT_Q_THRESHOLD = 0.3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommunityLabeling:
     """A community assignment: dense per-node labels plus its quality score.
 
-    ``quality_trace`` records modularity after each Louvain pass (one
-    queue-driven local-move phase plus aggregation), so tests can verify the
-    greedy optimization never goes backwards. ``passes`` is its length.
+    ``labels`` is a read-only int64 array, one label per node; any sequence
+    of ints is accepted and converted once. ``quality_trace`` records
+    modularity after each Louvain pass (one queue-driven local-move phase
+    plus aggregation), so tests can verify the greedy optimization never
+    goes backwards. ``passes`` is its length.
     ``local_moves`` counts the nodes popped from the local-move queues,
     summed over passes.
     """
 
-    labels: tuple[int, ...]
+    labels: np.ndarray
     modularity: float
     num_communities: int
     passes: int = 0
     quality_trace: tuple[float, ...] = ()
     local_moves: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        self.labels.flags.writeable = False
 
 
 def modularity(g: Graph, labels: Sequence[int]) -> float:
@@ -219,7 +225,7 @@ def detect_communities(g: Graph, seed: int = 0) -> CommunityLabeling:
     count = int(labels.max()) + 1
     final_q = modularity(g, labels)
     return CommunityLabeling(
-        labels=tuple(labels.tolist()),
+        labels=labels,
         modularity=final_q,
         num_communities=count,
         passes=len(trace),
@@ -235,6 +241,6 @@ def community_mask(g: Graph, labeling: CommunityLabeling) -> Graph:
     ``g``'s order. A walk on it never leaves its start's community. Members
     whose links all cross community lines become isolated nodes.
     """
-    labels = np.asarray(labeling.labels)
+    labels = labeling.labels
     keep = labels[g.edges[:, 0]] == labels[g.edges[:, 1]]
     return Graph(g.num_nodes, g.edges[keep], names=g.names)

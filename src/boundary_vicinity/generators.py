@@ -11,18 +11,18 @@ from .graph import Graph, build_graph, connected_components
 STITCH_RETRY_LIMIT = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantedNetwork:
     """A stitched multi-community graph with known ground truth.
 
     ``planted_labels`` gives each node the index of the part it came from;
-    ``planted_boundary`` lists the sampled cross-linkers together with the
-    partners they were wired to.
+    ``planted_boundary`` lists, ascending, the sampled cross-linkers together
+    with the partners they were wired to. Both are read-only int64 arrays.
     """
 
     graph: Graph
-    planted_labels: tuple[int, ...]
-    planted_boundary: tuple[int, ...]
+    planted_labels: np.ndarray
+    planted_boundary: np.ndarray
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
@@ -91,7 +91,8 @@ def connect_communities(
     total = offsets.pop()
     if k > total:
         raise ValueError(f"cannot select {k} distinct nodes from {total}")
-    labels = np.repeat(np.arange(len(parts)), sizes).tolist()
+    labels = np.repeat(np.arange(len(parts)), sizes)
+    labels.flags.writeable = False
     # an edge (u, v), u < v, as the key u * total + v: key order is (u, v) order
     within = np.concatenate([part.edges + offset for part, offset in zip(parts, offsets)])
     within_keys = within[:, 0] * total + within[:, 1]
@@ -123,9 +124,7 @@ def connect_communities(
         keys = np.sort(np.concatenate([within_keys, np.fromiter(cross, np.int64, len(cross))]))
         g = build_graph(total, np.stack(np.divmod(keys, total), axis=1))
         if len(connected_components(g).components) == 1:
-            return PlantedNetwork(
-                graph=g,
-                planted_labels=tuple(labels),
-                planted_boundary=tuple(sorted(boundary)),
-            )
+            linked = np.sort(np.fromiter(boundary, np.int64, len(boundary)))
+            linked.flags.writeable = False
+            return PlantedNetwork(graph=g, planted_labels=labels, planted_boundary=linked)
     raise ValueError(f"failed to build a connected stitching in {STITCH_RETRY_LIMIT} tries")

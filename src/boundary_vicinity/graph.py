@@ -64,17 +64,18 @@ class Graph:
         return self.names[v] if self.names is not None else str(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentPartition:
-    """Connected components: per-node component id plus the member lists.
+    """Connected components: per-node component id plus the member arrays.
 
     ``components`` is ordered by descending size, ties broken by smallest
-    member id; each entry is a sorted tuple of node ids. ``component_id[v]``
-    is the index of v's entry in ``components``.
+    member id; each entry is an ascending array of node ids.
+    ``component_id[v]`` is the index of v's entry in ``components``. All
+    arrays are read-only int64.
     """
 
-    component_id: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
+    component_id: np.ndarray
+    components: tuple[np.ndarray, ...]
 
 
 def build_graph(
@@ -197,12 +198,11 @@ def connected_components(g: Graph) -> ComponentPartition:
     firsts, member_of, sizes = np.unique(roots, return_inverse=True, return_counts=True)
     rank = np.argsort(np.lexsort((firsts, -sizes)))
     component_id = rank[member_of]
-    members = np.argsort(component_id, kind="stable").tolist()
-    ends = np.cumsum(np.sort(sizes)[::-1]).tolist()
-    return ComponentPartition(
-        component_id=tuple(component_id.tolist()),
-        components=tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends)),
-    )
+    members = np.argsort(component_id, kind="stable")
+    component_id.flags.writeable = members.flags.writeable = False
+    ends = np.cumsum(np.sort(sizes)[::-1])
+    # a split at every component's end leaves an empty last piece
+    return ComponentPartition(component_id, tuple(np.split(members, ends)[:-1]))
 
 
 def subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, int]]:

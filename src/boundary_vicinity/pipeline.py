@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from typing import Sequence, TextIO
+from itertools import chain
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -54,10 +55,8 @@ class PipelineResult:
 
     @property
     def unconverged_fraction(self) -> float:
-        if not self.scores.converged:
-            return 0.0
-        bad = sum(1 for ok in self.scores.converged.values() if not ok)
-        return bad / len(self.scores.converged)
+        converged = self.scores.converged
+        return np.count_nonzero(~converged) / len(converged) if len(converged) else 0.0
 
 
 def component_seed(seed: int, index: int) -> int:
@@ -82,7 +81,6 @@ def detect_all_communities(
     for index, members in enumerate(parts.components):
         # the induced subgraph on every node is g itself, in the same order
         sub = g if len(members) == g.num_nodes else subgraph(g, members)[0]
-        members = list(members)
         if sub.num_edges == 0:
             labels[members] = next_label
             next_label += 1
@@ -94,7 +92,7 @@ def detect_all_communities(
         detected = detect_communities(sub, seed=component_seed(seed, index))
         skipped = "below_q_threshold" if detected.modularity < q_threshold else None
         # subgraph ids follow ascending old ids, as members do
-        labels[members] = next_label + (0 if skipped else np.asarray(detected.labels))
+        labels[members] = next_label + (0 if skipped else detected.labels)
         count = 1 if skipped else detected.num_communities
         next_label += count
         reports.append(ComponentReport(
@@ -103,9 +101,7 @@ def detect_all_communities(
             passes=detected.passes, local_moves=detected.local_moves, skipped=skipped,
         ))
     merged_q = modularity(g, labels) if g.num_edges > 0 else 0.0
-    merged = CommunityLabeling(
-        labels=tuple(labels.tolist()), modularity=merged_q, num_communities=next_label,
-    )
+    merged = CommunityLabeling(labels=labels, modularity=merged_q, num_communities=next_label)
     return merged, reports
 
 
@@ -139,27 +135,31 @@ def _run_params(result: PipelineResult) -> dict:
     return {"seed": result.seed, "q_threshold": result.q_threshold, **walk}
 
 
-def write_node_table(g: Graph, stream: TextIO, header: str, *columns: Sequence,
+def _write_csv(stream: TextIO, header: str, *columns: Iterable[str]) -> None:
+    """``header``, then a line per row holding the columns' strings comma-separated."""
+    stream.write("\n".join(chain([header], map(",".join, zip(*columns)))))
+    stream.write("\n")
+
+
+def write_node_table(g: Graph, stream: TextIO, header: str, *columns: np.ndarray,
                      comment: str | None = None) -> None:
     """A CSV row per node: its token, then its value in each column.
 
-    Columns hold Python ints or floats; a float is written as its ``repr``,
+    Columns are int or float arrays; a float is written as its ``repr``,
     which reads back as the same float. ``comment``, when given, goes first
     as a ``#`` line.
     """
     if comment is not None:
         stream.write(f"# {comment}\n")
-    stream.write(f"{header}\n")
-    row = "{}" + ",{}" * len(columns) + "\n"  # str of a Python float is its repr
-    names = g.names if g.names is not None else range(g.num_nodes)
-    stream.writelines(map(row.format, names, *columns))
+    names = g.names if g.names is not None else map(str, range(g.num_nodes))
+    # str of a Python float is its repr
+    _write_csv(stream, header, names, *(map(str, c.tolist()) for c in columns))
 
 
 def write_scores_csv(result: PipelineResult, stream: TextIO) -> None:
     params = " ".join(f"{k}={v}" for k, v in _run_params(result).items())
     write_node_table(result.graph, stream, "node_id,raw_score,normalized_score",
-                     result.scores.raw.tolist(), result.scores.normalized.tolist(),
-                     comment=params)
+                     result.scores.raw, result.scores.normalized, comment=params)
 
 
 def write_scores_json(result: PipelineResult, stream: TextIO) -> None:
@@ -210,28 +210,28 @@ def write_communities_csv(
 
 def write_boundary_csv(g: Graph, labeling: CommunityLabeling, bset: BoundarySet,
                        stream: TextIO) -> None:
-    stream.write("i,j,community_i,community_j\n")
-    for u, v in bset.boundary_edges:
-        stream.write(
-            f"{g.name_of(u)},{g.name_of(v)},"
-            f"{labeling.labels[u]},{labeling.labels[v]}\n"
-        )
+    u, v = bset.boundary_edges.T
+    labels = labeling.labels
+    _write_csv(stream, "i,j,community_i,community_j", map(g.name_of, u.tolist()),
+               map(g.name_of, v.tolist()), map(str, labels[u].tolist()),
+               map(str, labels[v].tolist()))
 
 
-def write_boundary_nodes_csv(g: Graph, bset: BoundarySet, stream: TextIO) -> None:
-    stream.write("node_id,community_id\n")
-    for v in bset.boundary_nodes:
-        stream.write(f"{g.name_of(v)},{bset.home_community[v]}\n")
+def write_boundary_nodes_csv(g: Graph, labeling: CommunityLabeling, bset: BoundarySet,
+                             stream: TextIO) -> None:
+    nodes = bset.boundary_nodes
+    _write_csv(stream, "node_id,community_id", map(g.name_of, nodes.tolist()),
+               map(str, labeling.labels[nodes].tolist()))
 
 
 def write_betweenness_csv(g: Graph, values: Sequence[float], stream: TextIO) -> None:
-    write_node_table(g, stream, "node_id,betweenness",
-                     np.asarray(values, dtype=np.float64).tolist())
+    write_node_table(g, stream, "node_id,betweenness", np.asarray(values, dtype=np.float64))
 
 
 def build_manifest(result: PipelineResult) -> dict:
     """Machine-readable run record; everything needed to reproduce the run."""
     scores = result.scores
+    origins = [str(v) for v in result.bset.boundary_nodes.tolist()]
     return {
         "version": __version__,
         "seed": result.seed,
@@ -248,10 +248,10 @@ def build_manifest(result: PipelineResult) -> dict:
         "num_communities": result.labeling.num_communities,
         "num_boundary_edges": len(result.bset.boundary_edges),
         "num_boundary_nodes": len(result.bset.boundary_nodes),
-        "walkers_used": {str(k): v for k, v in scores.walkers_used.items()},
-        "converged": {str(k): v for k, v in scores.converged.items()},
-        "batches": {str(k): v for k, v in scores.batches.items()},
-        "psrf": {str(k): v for k, v in scores.psrf.items()},
+        "walkers_used": dict(zip(origins, scores.walkers_used.tolist())),
+        "converged": dict(zip(origins, scores.converged.tolist())),
+        "batches": dict(zip(origins, scores.batches.tolist())),
+        "psrf": dict(zip(origins, scores.psrf.tolist())),
         "unconverged_fraction": result.unconverged_fraction,
         "warning": scores.warning,
         "elapsed_seconds": result.elapsed_seconds,

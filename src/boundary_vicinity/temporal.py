@@ -53,7 +53,7 @@ class SpikeReport:
 def bin_events(
     events: np.ndarray | Sequence[tuple[int, int]],
     window_seconds: int,
-    node_filter: set[int] | None = None,
+    node_filter: Iterable[int] | None = None,
 ) -> EventSeries:
     """Bin (timestamp, node) events into fixed windows.
 
@@ -79,7 +79,7 @@ def bin_events(
     else:
         windows = np.zeros(len(stamps), dtype=np.intp)
     if node_filter is not None:
-        keep = np.isin(nodes, list(node_filter))
+        keep = np.isin(nodes, np.fromiter(node_filter, dtype=np.int64))
         windows, nodes = windows[keep], nodes[keep]
     return EventSeries(
         window_seconds=window_seconds, t0=t0,

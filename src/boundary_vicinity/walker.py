@@ -12,7 +12,7 @@ draws batch k of every origin still running, all walks at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -91,17 +91,18 @@ class VisitScores:
     ``raw`` is the per-walker-normalized, community-size-scaled visit mass;
     ``normalized`` divides by the maximum so the top node scores exactly 1.
     ``walk`` is the config the run used, with ``stepnum`` resolved.
-    ``walkers_used``, ``converged``, ``batches`` and ``psrf`` (the last
-    diagnostic value) are keyed by boundary node id.
+    ``walkers_used``, ``converged`` (bool), ``batches`` and ``psrf`` (the
+    last diagnostic value, float64) are read-only arrays with one entry per
+    origin, aligned with ``BoundarySet.boundary_nodes``.
     """
 
     raw: np.ndarray
     normalized: np.ndarray
     walk: WalkConfig
-    walkers_used: dict[int, int] = field(default_factory=dict)
-    converged: dict[int, bool] = field(default_factory=dict)
-    batches: dict[int, int] = field(default_factory=dict)
-    psrf: dict[int, float] = field(default_factory=dict)
+    walkers_used: np.ndarray
+    converged: np.ndarray
+    batches: np.ndarray
+    psrf: np.ndarray
     warning: str | None = None
 
 
@@ -160,25 +161,20 @@ def random_walk(
     return np.array(path, dtype=np.int64)
 
 
-def psrf(batch: WalkBatch, num_chains: int) -> float:
+def psrf(batch: WalkBatch) -> float:
     """Potential scale reduction factor over the batch's visit counts.
 
-    Walkers split into ``num_chains`` equal groups in arrival order. Per
-    node: W is the mean within-group variance, B/n the variance of group
-    means, and the pooled estimate V = ((n-1)/n) W + B/n gives
-    sqrt(V / W). Returns the maximum over nodes with W > 0; when no node
-    varies within groups there is nothing left to learn and the result is
-    exactly 1.
+    Walkers split into two equal chains in arrival order; an odd trailing
+    walk is left out. Per node: W is the mean within-chain variance, B/n
+    the variance of chain means, and the pooled estimate
+    V = ((n-1)/n) W + B/n gives sqrt(V / W). Returns the maximum over nodes
+    with W > 0; when no node varies within chains there is nothing left to
+    learn and the result is exactly 1.
     """
-    total = batch.num_walks
-    if num_chains < 2:
-        raise ValueError("need at least 2 chains")
-    if total % num_chains != 0:
-        raise ValueError(f"{total} walks do not divide into {num_chains} equal chains")
-    n = total // num_chains
+    n = batch.num_walks // 2
     if n < 2:
         raise ValueError("each chain needs at least 2 walks")
-    chains = batch.visits.reshape(num_chains, n, -1).astype(float)
+    chains = batch.visits[:2 * n].reshape(2, n, -1).astype(float)
     within = chains.var(axis=1, ddof=1).mean(axis=0)
     means = chains.mean(axis=1)
     between_over_n = means.var(axis=0, ddof=1)
@@ -265,8 +261,7 @@ def _walk_rounds(
     Round k draws batch k (walks (k-1)·walknum to k·walknum - 1) of every
     start still running, all in one call. Then each of those starts counts
     visits over all its walks so far and runs the diagnostic on them, split
-    into two equal arrival-order chains (an odd trailing walk is left out of
-    the split). A start stops once the value falls inside the convergence
+    into two arrival-order chains (see ``psrf``). A start stops once the value falls inside the convergence
     window, or after ``cfg.max_batches`` batches with ``converged=False``;
     the engine then yields (its position in ``starts``, its batch). Walk w
     of start s draws what ``_walk_rng(cfg.seed, s, w)`` draws, so a start's
@@ -297,8 +292,7 @@ def _walk_rounds(
             block = steps[j * cfg.walknum:(j + 1) * cfg.walknum, :width[i]]
             paths[i] = np.concatenate([paths[i], block])
             batch = _visit_counts(paths[i], int(starts[i]))
-            usable = batch.num_walks - batch.num_walks % 2
-            value = psrf(replace(batch, visits=batch.visits[:usable]), 2)
+            value = psrf(batch)
             converged = cfg.psrf_low <= value <= cfg.psrf_high
             if converged or batches == cfg.max_batches:
                 yield i, replace(batch, converged=converged, psrf_value=value,
@@ -350,6 +344,7 @@ def bva(
     number of walkers used (so extra batches taken to converge do not
     inflate mass), scaled by relative community size, and added into the
     graph-wide score vector. ``normalized`` then divides by the maximum.
+    With no boundary node every score is 0 and ``warning`` says why.
 
     All origins walk together in rounds (``_walk_rounds``), and each walk
     draws from its own RNG substream keyed by (seed, origin, walk index),
@@ -359,36 +354,30 @@ def bva(
     if cfg.stepnum is None:
         stepnum = default_step_count(g.num_nodes) if g.num_nodes >= 2 else 1
         cfg = replace(cfg, stepnum=stepnum)
-    raw = np.zeros(g.num_nodes)
-    if not bset.boundary_nodes:
-        return VisitScores(
-            raw=raw, normalized=raw.copy(), walk=cfg,
-            warning="no boundary nodes: no community structure to bridge",
-        )
-
-    mask = community_mask(g, labeling)
-    sizes = np.bincount(labeling.labels)
     origins = bset.boundary_nodes
-    # each origin's scaled mass and diagnostics, kept without its visit rows
-    settled: list = [None] * len(origins)
-    for i, batch in _walk_rounds(mask, origins, cfg):
+    walkers_used = np.zeros(len(origins), dtype=np.int64)
+    converged = np.zeros(len(origins), dtype=bool)
+    batches = np.zeros(len(origins), dtype=np.int64)
+    last_psrf = np.zeros(len(origins))
+    labels = labeling.labels
+    origin_sizes = np.bincount(labels)[labels[origins]]
+    # each origin's visited nodes and scaled mass, added in ascending origin order
+    mass: list = [None] * len(origins)
+    for i, batch in _walk_rounds(community_mask(g, labeling), origins, cfg):
+        walkers_used[i], converged[i] = batch.num_walks, batch.converged
+        batches[i], last_psrf[i] = batch.batches, batch.psrf_value
         per_walker = batch.visits.sum(axis=0) / batch.num_walks
-        size = int(sizes[bset.home_community[origins[i]]])
-        settled[i] = (batch.nodes, scale_community_weights(per_walker, size, g.num_nodes),
-                      batch.num_walks, batch.converged, batch.batches, batch.psrf_value)
-    walkers_used: dict[int, int] = {}
-    converged: dict[int, bool] = {}
-    batches: dict[int, int] = {}
-    last_psrf: dict[int, float] = {}
-    for node, (nodes, mass, walkers, ok, rounds, value) in zip(origins, settled):
-        raw[nodes] += mass
-        walkers_used[node] = walkers
-        converged[node] = ok
-        batches[node] = rounds
-        last_psrf[node] = value
-    peak = raw.max()
+        mass[i] = (batch.nodes,
+                   scale_community_weights(per_walker, int(origin_sizes[i]), g.num_nodes))
+    raw = np.zeros(g.num_nodes)
+    for nodes, scaled in mass:
+        raw[nodes] += scaled
+    peak = raw.max(initial=0.0)
     normalized = raw / peak if peak > 0 else raw.copy()
+    for per_origin in (walkers_used, converged, batches, last_psrf):
+        per_origin.flags.writeable = False
     return VisitScores(
         raw=raw, normalized=normalized, walk=cfg, walkers_used=walkers_used,
         converged=converged, batches=batches, psrf=last_psrf,
+        warning=None if len(origins) else "no boundary nodes: no community structure to bridge",
     )

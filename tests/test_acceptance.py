@@ -209,8 +209,8 @@ def test_criterion_5_walker_correctness():
     stepnum = 20
     mask = community_mask(g, labeling)
     while steps_checked < 1_000_000:
-        for b in bset.boundary_nodes:
-            home = bset.home_community[b]
+        for b in bset.boundary_nodes.tolist():
+            home = labeling.labels[b]
             path = random_walk(mask, b, stepnum, walk_rng)
             steps_checked += len(path) - 1
             for v in np.unique(path):
@@ -227,16 +227,16 @@ def test_criterion_6_psrf_formula():
     rng = np.random.default_rng(0)
     group = rng.integers(0, 5, size=(100, 3))
     identical_groups = WalkBatch(visits=np.vstack([group, group]), nodes=np.arange(3), origin=0)
-    b_zero = psrf(identical_groups, 2)
+    b_zero = psrf(identical_groups)
     b_zero_ok = abs(b_zero - math.sqrt(99 / 100)) <= 1e-12
 
     constant = WalkBatch(visits=np.tile([2, 1, 0], (40, 1)), nodes=np.arange(3), origin=0)
-    degenerate = psrf(constant, 2)
+    degenerate = psrf(constant)
     degenerate_ok = degenerate == 1.0
 
     low = rng.normal(0.0, 0.01, size=(50, 2))
     high = rng.normal(10.0, 0.01, size=(50, 2))
-    divergent = psrf(WalkBatch(visits=np.vstack([low, high]), nodes=np.arange(2), origin=0), 2)
+    divergent = psrf(WalkBatch(visits=np.vstack([low, high]), nodes=np.arange(2), origin=0))
     divergent_ok = divergent > 1.05
 
     ok = b_zero_ok and degenerate_ok and divergent_ok

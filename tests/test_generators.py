@@ -133,7 +133,7 @@ def test_stitch_deterministic():
     a = connect_communities(parts, k=4, seed=9)
     b = connect_communities(parts, k=4, seed=9)
     assert np.array_equal(a.graph.edges, b.graph.edges)
-    assert a.planted_boundary == b.planted_boundary
+    assert np.array_equal(a.planted_boundary, b.planted_boundary)
 
 
 def test_stitch_validates_inputs():

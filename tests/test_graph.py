@@ -195,7 +195,7 @@ def test_components_edgeless():
 def test_components_path():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     parts = connected_components(g)
-    assert parts.components == ((0, 1, 2, 3),)
+    assert [c.tolist() for c in parts.components] == [[0, 1, 2, 3]]
 
 
 def test_components_two_triangles(two_triangles_disjoint):
@@ -207,7 +207,7 @@ def test_components_two_triangles(two_triangles_disjoint):
 def test_components_ordering_descending_size_then_smallest_member():
     g = build_graph(6, [(3, 4), (4, 5), (3, 5), (0, 1)])  # triangle, edge, isolate
     parts = connected_components(g)
-    assert parts.components == ((3, 4, 5), (0, 1), (2,))
+    assert [c.tolist() for c in parts.components] == [[3, 4, 5], [0, 1], [2]]
     assert parts.component_id[3] == 0
     assert parts.component_id[0] == 1
     assert parts.component_id[2] == 2

@@ -1,29 +1,40 @@
-"""Every node-keyed CSV is byte for byte what a per-row writer loop gives.
+"""Every node- and edge-keyed CSV is byte for byte what a per-row writer loop gives.
 
 The references are the writers' per-row loops written out: the node token,
 then each value (a float through ``float(x)!r``, an int as is), one line per
-node in dense id order, after the optional comment line and the header.
+node in dense id order, after the optional comment line and the header. The
+boundary files and the manifest's per-origin maps are rebuilt from the graph
+and the labels, one edge or origin at a time.
 """
 
 import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
 
 from boundary_vicinity import (
+    CommunityLabeling,
+    WalkConfig,
     betweenness_brandes,
+    boundary_edges,
+    community_mask,
     connect_communities,
     connected_components,
     erdos_renyi,
     load_edge_list,
     preferential_attachment,
+    run_converged_walks,
     run_pipeline,
 )
 from boundary_vicinity.cli import main
 from boundary_vicinity.pipeline import (
     _run_params,
+    build_manifest,
     write_betweenness_csv,
+    write_boundary_csv,
+    write_boundary_nodes_csv,
     write_communities_csv,
     write_components_csv,
     write_scores_csv,
@@ -74,6 +85,22 @@ def betweenness_reference(g, values) -> str:
     out = "node_id,betweenness\n"
     for v in range(g.num_nodes):
         out += f"{g.name_of(v)},{float(values[v])!r}\n"
+    return out
+
+
+def boundary_reference(g, labels) -> str:
+    out = "i,j,community_i,community_j\n"
+    for u, v in g.edges.tolist():
+        if labels[u] != labels[v]:
+            out += f"{g.name_of(u)},{g.name_of(v)},{labels[u]},{labels[v]}\n"
+    return out
+
+
+def boundary_nodes_reference(g, labels) -> str:
+    out = "node_id,community_id\n"
+    crossing = {w for u, v in g.edges.tolist() if labels[u] != labels[v] for w in (u, v)}
+    for v in sorted(crossing):
+        out += f"{g.name_of(v)},{labels[v]}\n"
     return out
 
 
@@ -133,3 +160,36 @@ def test_planted_labels_csv_matches_per_row_loop(tmp_path, kind, flags, make):
     for v in range(planted.graph.num_nodes):
         expected += f"{v},{planted.planted_labels[v]}\n"
     assert (tmp_path / "planted_labels.csv").read_bytes() == expected.encode()
+
+
+def test_boundary_csvs_match_per_row_loops(graph):
+    n = graph.num_nodes
+    for labels in (run_pipeline(graph, seed=1, q_threshold=0.2).labeling.labels.tolist(),
+                   [(7 * v) % 12 for v in range(n)]):  # many crossings, two-digit labels
+        labeling = CommunityLabeling(labels, modularity=0.0, num_communities=max(labels) + 1)
+        bset = boundary_edges(graph, labeling)
+        expected = boundary_reference(graph, labels)
+        assert expected.count("\n") > 1  # at least one crossing edge
+        assert written(write_boundary_csv, graph, labeling, bset) == expected
+        assert written(write_boundary_nodes_csv, graph, labeling, bset) == \
+            boundary_nodes_reference(graph, labels)
+
+
+def test_manifest_per_origin_maps_match_dict_reference(graph):
+    """The four maps as the JSON of dicts built one origin at a time, keyed by dense id."""
+    cfg = WalkConfig(walknum=6, stepnum=3, seed=1, max_batches=3, psrf_low=0.97,
+                     psrf_high=1.03)
+    result = run_pipeline(graph, seed=1, q_threshold=0.2, walk=cfg)
+    mask = community_mask(graph, result.labeling)
+    keys = ("walkers_used", "converged", "batches", "psrf")
+    expected = {key: {} for key in keys}
+    for v in sorted({w for e in result.bset.boundary_edges.tolist() for w in e}):
+        batch = run_converged_walks(mask, v, cfg)
+        expected["walkers_used"][str(v)] = batch.num_walks
+        expected["converged"][str(v)] = batch.converged
+        expected["batches"][str(v)] = batch.batches
+        expected["psrf"][str(v)] = batch.psrf_value
+    assert {True, False} <= set(expected["converged"].values())
+    manifest = build_manifest(result)
+    assert json.dumps({key: manifest[key] for key in keys}, indent=2) == \
+        json.dumps(expected, indent=2)

@@ -313,6 +313,16 @@ def test_overlap_command(bridge_file, tmp_path):
                  "--out", str(curve_out)]) == 2
 
 
+def test_overlap_different_node_sets_named_with_exit_2(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("0,1\n1,2\n")
+    b.write_text("0,1\n9,2\n")
+    assert main(["overlap", "--a", str(a), "--b", str(b), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{b} lists node '9', {a} does not" in err
+    assert not (tmp_path / "overlap.csv").exists()
+
+
 @pytest.mark.parametrize("body, line, message", [
     ("node_id,betweenness\n0,1.0\n2,abc\n3,2.0\n", 3, "no numeric score in '2,abc'"),
     ("0,1.0\nnode_id,betweenness\n", 2, "no numeric score in 'node_id,betweenness'"),
@@ -381,7 +391,7 @@ def test_temporal_command(tmp_path, bridge_file):
     assert 5 in report["series"]["boundary_active"]["spike_windows"]
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     assert main([]) == 1
     assert main(["pipeline"]) == 1  # missing --input
     assert main(["no-such-command"]) == 1
@@ -394,6 +404,13 @@ def test_usage_error_exit_code():
     events = ["temporal", "--input", "unused.edges", "--events", "unused.csv"]
     for window in ("0", "-60", "1.5"):
         assert main(events + ["--window", window]) == 1, window
+    # generator flags are checked before anything is generated or written
+    out = tmp_path / "generated"
+    for flags in (["er", "--n", "0"], ["er", "--n", "x"], ["pa", "--m", "0"],
+                  ["planted", "--parts", "0"], ["planted", "--parts", "1"],
+                  ["planted", "--k", "-1"], ["planted", "--parts", "4", "--k", "2"]):
+        assert main(["generate", *flags, "--out", str(out)]) == 1, flags
+    assert not out.exists()
 
 
 def test_missing_input_exit_code(tmp_path):
@@ -501,5 +518,5 @@ def test_run_pipeline_api_matches_cli(bridge_file, tmp_path):
     order = np.argsort(-result.scores.raw)
     assert set(order[:2].tolist()) == {2, 3}
     labeling, reports = detect_all_communities(g, seed=3, q_threshold=0.2)
-    assert labeling.labels == result.labeling.labels
+    assert np.array_equal(labeling.labels, result.labeling.labels)
     assert len(reports) == 1

@@ -144,12 +144,12 @@ def test_psrf_identical_groups_b_zero():
     group = rng.integers(0, 5, size=(100, 3))
     batch = WalkBatch(visits=np.vstack([group, group]), nodes=np.arange(3), origin=0)
     n = 100
-    assert psrf(batch, 2) == pytest.approx(np.sqrt((n - 1) / n), abs=1e-12)
+    assert psrf(batch) == pytest.approx(np.sqrt((n - 1) / n), abs=1e-12)
 
 
 def test_psrf_all_identical_walks_degenerate_one():
     batch = WalkBatch(visits=np.tile([1, 2, 0], (40, 1)), nodes=np.arange(3), origin=0)
-    assert psrf(batch, 2) == 1.0
+    assert psrf(batch) == 1.0
 
 
 def test_psrf_divergent_means_explodes():
@@ -157,17 +157,21 @@ def test_psrf_divergent_means_explodes():
     low = rng.normal(0.0, 0.01, size=(50, 2))
     high = rng.normal(10.0, 0.01, size=(50, 2))
     batch = WalkBatch(visits=np.vstack([low, high]), nodes=np.arange(2), origin=0)
-    assert psrf(batch, 2) > 1.05
+    assert psrf(batch) > 1.05
 
 
 def test_psrf_validates_grouping():
-    batch = WalkBatch(visits=np.zeros((10, 2)), nodes=np.arange(2), origin=0)
     with pytest.raises(ValueError):
-        psrf(batch, 1)
+        psrf(WalkBatch(visits=np.zeros((2, 2)), nodes=np.arange(2), origin=0))  # chains of 1
+
+
+def test_psrf_leaves_out_odd_trailing_walk():
+    visits = np.random.default_rng(2).integers(0, 5, size=(11, 3))
+    value = psrf(WalkBatch(visits=visits, nodes=np.arange(3), origin=0))
+    assert value == psrf(WalkBatch(visits=visits[:10], nodes=np.arange(3), origin=0))
+    assert value != psrf(WalkBatch(visits=visits[1:], nodes=np.arange(3), origin=0))
     with pytest.raises(ValueError):
-        psrf(batch, 3)  # 10 walks not divisible into 3 chains
-    with pytest.raises(ValueError):
-        psrf(WalkBatch(visits=np.zeros((2, 2)), nodes=np.arange(2), origin=0), 2)  # chains of 1
+        psrf(WalkBatch(visits=np.zeros((3, 2)), nodes=np.arange(2), origin=0))  # chains of 1
 
 
 def test_converged_walks_isolated_origin_one_batch():
@@ -238,8 +242,7 @@ def loop_converged_walks(mask, start, cfg):
             paths.append(random_walk(mask, start, cfg.stepnum, rng))
         nodes = np.unique(np.concatenate(paths))
         visits = np.array([np.bincount(p, minlength=mask.num_nodes)[nodes] for p in paths])
-        usable = len(paths) - len(paths) % 2
-        value = psrf(WalkBatch(visits[:usable], nodes, start), 2)
+        value = psrf(WalkBatch(visits, nodes, start))
         converged = cfg.psrf_low <= value <= cfg.psrf_high
         if converged:
             break
@@ -273,7 +276,7 @@ def test_converged_walks_match_walk_at_a_time_definition(cfg):
     g, labeling, bset = graph_with_isolated_origin()
     mask = community_mask(g, labeling)
     assert 60 in bset.boundary_nodes
-    for start in bset.boundary_nodes:
+    for start in bset.boundary_nodes.tolist():
         batch = run_converged_walks(mask, start, cfg)
         expected = loop_converged_walks(mask, start, cfg)
         assert np.array_equal(batch.nodes, expected.nodes)
@@ -292,24 +295,25 @@ def test_bva_rounds_do_not_couple_origins(cfg):
     mask = community_mask(g, labeling)
     sizes = np.bincount(labeling.labels)
     raw = np.zeros(g.num_nodes)
-    walkers_used, converged, batches, last_psrf = {}, {}, {}, {}
-    for node in bset.boundary_nodes:  # ascending, as bva adds them
+    walkers_used, converged, batches, last_psrf = [], [], [], []
+    for node in bset.boundary_nodes.tolist():  # ascending, as bva adds them
         batch = run_converged_walks(mask, node, cfg)
         per_walker = batch.visits.sum(axis=0) / batch.num_walks
-        size = int(sizes[bset.home_community[node]])
+        size = int(sizes[labeling.labels[node]])
         raw[batch.nodes] += scale_community_weights(per_walker, size, g.num_nodes)
-        walkers_used[node] = batch.num_walks
-        converged[node] = batch.converged
-        batches[node] = batch.batches
-        last_psrf[node] = batch.psrf_value
+        walkers_used.append(batch.num_walks)
+        converged.append(batch.converged)
+        batches.append(batch.batches)
+        last_psrf.append(batch.psrf_value)
     scores = bva(g, labeling, bset, cfg)
     assert np.array_equal(scores.raw, raw)
-    assert scores.walkers_used == walkers_used
-    assert scores.converged == converged
-    assert scores.batches == batches
-    assert scores.psrf == last_psrf
-    assert scores.batches[60] == 1 and scores.converged[60]
-    assert len(set(batches.values())) > 1  # origins leave the rounds at different batches
+    assert scores.walkers_used.tolist() == walkers_used
+    assert scores.converged.tolist() == converged
+    assert scores.batches.tolist() == batches
+    assert scores.psrf.tolist() == last_psrf
+    isolated = bset.boundary_nodes.tolist().index(60)
+    assert scores.batches[isolated] == 1 and scores.converged[isolated]
+    assert len(set(batches)) > 1  # origins leave the rounds at different batches
 
 
 def test_converged_walks_requires_concrete_stepnum():
@@ -372,7 +376,7 @@ def test_bva_bridge_graph_ranks_boundary_first(two_triangles_bridged):
 def test_bva_empty_boundary_all_zero(two_triangles_disjoint):
     labeling = detect_communities(two_triangles_disjoint, seed=0)
     bset = boundary_edges(two_triangles_disjoint, labeling)
-    assert bset.boundary_nodes == ()
+    assert len(bset.boundary_nodes) == 0
     scores = bva(two_triangles_disjoint, labeling, bset, WalkConfig(seed=0))
     assert np.all(scores.raw == 0.0)
     assert np.all(scores.normalized == 0.0)
@@ -390,8 +394,8 @@ def test_bva_deterministic():
     first = bva(g, labeling, bset, cfg)
     second = bva(g, labeling, bset, cfg)
     assert np.array_equal(first.raw, second.raw)
-    assert first.walkers_used == second.walkers_used
-    assert first.converged == second.converged
+    assert np.array_equal(first.walkers_used, second.walkers_used)
+    assert np.array_equal(first.converged, second.converged)
     assert first.walk == second.walk == WalkConfig(
         seed=42, stepnum=default_step_count(g.num_nodes)
     )
@@ -411,7 +415,7 @@ def test_bva_confinement():
     )
     bset = boundary_edges(g, labeling)
     scores = bva(g, labeling, bset, WalkConfig(seed=0))
-    walked_communities = {bset.home_community[b] for b in bset.boundary_nodes}
+    walked_communities = set(labeling.labels[bset.boundary_nodes].tolist())
     for v in range(g.num_nodes):
         if labeling.labels[v] not in walked_communities:
             assert scores.raw[v] == 0.0
@@ -425,7 +429,8 @@ def test_bva_walker_count_invariance():
     # single community: pick a node as a synthetic boundary origin
     from boundary_vicinity import BoundarySet
 
-    bset = BoundarySet(boundary_edges=(), boundary_nodes=(0,), home_community={0: 0})
+    bset = BoundarySet(boundary_edges=np.empty((0, 2), dtype=np.int64),
+                       boundary_nodes=np.array([0]))
     base = bva(g, labeling, bset, WalkConfig(walknum=1000, stepnum=4, seed=9))
     doubled = bva(g, labeling, bset, WalkConfig(walknum=2000, stepnum=4, seed=9))
     assert base.converged[0] and doubled.converged[0]
@@ -445,9 +450,9 @@ def test_bva_scores_match_enumeration_oracle(two_triangles_bridged):
     stepnum = 2
     mask = community_mask(g, labeling)
     oracle = np.zeros(6)
-    for b in bset.boundary_nodes:
+    for b in bset.boundary_nodes.tolist():
         expected, _ = enumerate_visit_moments(mask, b, stepnum)
-        size = labeling.labels.count(bset.home_community[b])
+        size = np.count_nonzero(labeling.labels == labeling.labels[b])
         oracle += expected * size / g.num_nodes
     scores = bva(g, labeling, bset, WalkConfig(walknum=4000, stepnum=stepnum, seed=1))
     assert np.allclose(scores.raw, oracle, atol=0.02)
@@ -492,7 +497,7 @@ def test_bva_matches_exact_expectation_at_scale():
         mass = np.bincount(dst, weights=mass[src] / degree[src], minlength=n)
         expected += mass
 
-    used = np.array([scores.walkers_used[b] for b in bset.boundary_nodes])
+    used = scores.walkers_used
     spread = np.bincount(labels[origins], weights=share**2 / used, minlength=3)[labels]
     bound = (stepnum + 2) // 2 * np.sqrt(spread * np.log(2 * n / 1e-3) / 2)
     assert bound.max() < expected.max()  # the check can fail
@@ -543,7 +548,7 @@ def test_bva_matches_exact_expectation_at_1e5_nodes():
         return total
 
     origins = np.array(bset.boundary_nodes)
-    used = np.array([scores.walkers_used[b] for b in bset.boundary_nodes], dtype=float)
+    used = scores.walkers_used.astype(float)
     share = np.bincount(labels)[labels[origins]] / n
     expected = propagate(np.bincount(origins, weights=share, minlength=n))
     variance = propagate(np.bincount(origins, weights=share**2 * (stepnum + 1) / used,
