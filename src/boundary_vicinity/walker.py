@@ -84,7 +84,7 @@ class WalkBatch:
         return int(self.visits.shape[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class VisitScores:
     """Merged walker scores over the full graph.
 
