@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from itertools import islice
 from pathlib import Path
 
@@ -36,13 +37,7 @@ from .pipeline import (
     write_scores_json,
 )
 from .temporal import bin_events, control_series, detect_spikes
-from .walker import (
-    DEFAULT_MAX_BATCHES,
-    DEFAULT_PSRF_HIGH,
-    DEFAULT_PSRF_LOW,
-    DEFAULT_WALKNUM,
-    WalkConfig,
-)
+from .walker import WalkConfig
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -190,15 +185,9 @@ def _read_events(path: str, g: Graph) -> np.ndarray:
 
 
 def _walk_config(args) -> WalkConfig:
+    """The WalkConfig of the parsed arguments named after its fields."""
     try:
-        return WalkConfig(
-            walknum=args.walknum,
-            stepnum=args.stepnum,
-            psrf_low=args.psrf_low,
-            psrf_high=args.psrf_high,
-            max_batches=args.max_batches,
-            seed=args.seed,
-        )
+        return WalkConfig(**{f.name: getattr(args, f.name) for f in fields(WalkConfig)})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -206,7 +195,7 @@ def _walk_config(args) -> WalkConfig:
 def cmd_pipeline(args) -> int:
     walk = _walk_config(args)
     g = _load_graph(args.input)
-    result = run_pipeline(g, seed=args.seed, q_threshold=args.q_threshold, walk=walk)
+    result = run_pipeline(g, walk, q_threshold=args.q_threshold)
     out = _out_dir(args)
     with open(out / "scores.csv", "w") as handle:
         write_scores_csv(result, handle)
@@ -218,7 +207,7 @@ def cmd_pipeline(args) -> int:
             write_scores_dot(g, result.scores.normalized, handle)
     with open(out / "communities.csv", "w") as handle:
         write_communities_csv(g, result.labeling, handle,
-                              seed=args.seed, q_threshold=args.q_threshold)
+                              seed=walk.seed, q_threshold=args.q_threshold)
     with open(out / "boundary.csv", "w") as handle:
         write_boundary_csv(g, result.labeling, result.bset, handle)
     _write_json(out / "manifest.json", build_manifest(result))
@@ -390,13 +379,15 @@ def _positive_ints(text: str) -> list[int]:
 
 
 def _add_walk_flags(parser):
-    parser.add_argument("--walknum", type=int, default=DEFAULT_WALKNUM,
+    """One flag per WalkConfig field but ``seed``, defaulting to the field's default."""
+    walk = WalkConfig()
+    parser.add_argument("--walknum", type=int, default=walk.walknum,
                         help="walkers per convergence batch (default %(default)s)")
-    parser.add_argument("--stepnum", type=int, default=None,
+    parser.add_argument("--stepnum", type=int, default=walk.stepnum,
                         help="steps per walk (default: derived from graph size)")
-    parser.add_argument("--psrf-low", type=float, default=DEFAULT_PSRF_LOW)
-    parser.add_argument("--psrf-high", type=float, default=DEFAULT_PSRF_HIGH)
-    parser.add_argument("--max-batches", type=int, default=DEFAULT_MAX_BATCHES)
+    parser.add_argument("--psrf-low", type=float, default=walk.psrf_low)
+    parser.add_argument("--psrf-high", type=float, default=walk.psrf_high)
+    parser.add_argument("--max-batches", type=int, default=walk.max_batches)
 
 
 def build_parser() -> _Parser:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -78,13 +78,7 @@ class ComponentPartition:
     components: tuple[np.ndarray, ...]
 
 
-def build_graph(
-    num_nodes: int,
-    edges: np.ndarray | Iterable[tuple[int, int]],
-    names: Sequence[str] | None = None,
-    self_loops_dropped: int = 0,
-    duplicates_dropped: int = 0,
-) -> Graph:
+def build_graph(num_nodes: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Graph:
     """Assemble a Graph from already-dense node ids, validating simplicity.
 
     ``edges`` is an (M, 2) integer array or an iterable of pairs. Raises
@@ -110,13 +104,7 @@ def build_graph(
         if loop[i]:
             raise ValueError(f"self-loop at node {u[i]}")
         raise ValueError(f"duplicate edge ({lo[i]}, {hi[i]})")
-    return Graph(
-        num_nodes=num_nodes,
-        edges=np.stack([lo, hi], axis=1),
-        names=tuple(names) if names is not None else None,
-        self_loops_dropped=self_loops_dropped,
-        duplicates_dropped=duplicates_dropped,
-    )
+    return Graph(num_nodes, np.stack([lo, hi], axis=1))
 
 
 def load_edge_list(stream: TextIO | Iterable[str]) -> Graph:

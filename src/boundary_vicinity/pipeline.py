@@ -49,7 +49,6 @@ class PipelineResult:
     components: list[ComponentReport]
     bset: BoundarySet
     scores: VisitScores
-    seed: int
     q_threshold: float
     elapsed_seconds: float = 0.0
 
@@ -107,19 +106,17 @@ def detect_all_communities(
 
 def run_pipeline(
     g: Graph,
-    seed: int = 0,
+    walk: WalkConfig = WalkConfig(),
     q_threshold: float = DEFAULT_Q_THRESHOLD,
-    walk: WalkConfig | None = None,
 ) -> PipelineResult:
-    """Full scoring run over a loaded graph."""
+    """Full scoring run over a loaded graph; ``walk.seed`` seeds Louvain and the walks."""
     start = time.perf_counter()
-    cfg = walk if walk is not None else WalkConfig(seed=seed)
-    labeling, reports = detect_all_communities(g, seed=seed, q_threshold=q_threshold)
+    labeling, reports = detect_all_communities(g, seed=walk.seed, q_threshold=q_threshold)
     bset = boundary_edges(g, labeling)
-    scores = bva(g, labeling, bset, cfg)
+    scores = bva(g, labeling, bset, walk)
     return PipelineResult(
         graph=g, labeling=labeling, components=reports, bset=bset,
-        scores=scores, seed=seed, q_threshold=q_threshold,
+        scores=scores, q_threshold=q_threshold,
         elapsed_seconds=time.perf_counter() - start,
     )
 
@@ -129,10 +126,9 @@ def run_pipeline(
 
 
 def _run_params(result: PipelineResult) -> dict:
-    """Pipeline seed and threshold, then every resolved walk parameter but its seed."""
+    """The run's seed and threshold, then every other resolved walk parameter."""
     walk = asdict(result.scores.walk)
-    del walk["seed"]
-    return {"seed": result.seed, "q_threshold": result.q_threshold, **walk}
+    return {"seed": walk.pop("seed"), "q_threshold": result.q_threshold, **walk}
 
 
 def _write_csv(stream: TextIO, header: str, *columns: Iterable[str]) -> None:
@@ -234,7 +230,7 @@ def build_manifest(result: PipelineResult) -> dict:
     origins = [str(v) for v in result.bset.boundary_nodes.tolist()]
     return {
         "version": __version__,
-        "seed": result.seed,
+        "seed": scores.walk.seed,
         "q_threshold": result.q_threshold,
         "walk": asdict(scores.walk),
         "graph": {

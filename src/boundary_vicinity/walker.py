@@ -21,11 +21,6 @@ from .boundary import BoundarySet
 from .community import CommunityLabeling, community_mask
 from .graph import Graph
 
-DEFAULT_WALKNUM = 50
-DEFAULT_MAX_BATCHES = 20
-DEFAULT_PSRF_LOW = 0.95
-DEFAULT_PSRF_HIGH = 1.05
-
 # Philox4x64-10 multipliers and key increments (Salmon et al., SC'11), as in numpy
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -36,7 +31,7 @@ _SHIFT32 = np.uint64(32)
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Walker batch sizing, convergence window, and RNG seed.
+    """Walker batch sizing, convergence window, and the run's seed.
 
     ``walknum`` walkers are run per convergence check; at least 4 so the
     diagnostic has two chains of two draws. ``stepnum`` is the fixed walk
@@ -44,13 +39,14 @@ class WalkConfig:
     ``default_step_count`` when the run starts. The run is declared
     converged once the diagnostic lands inside [psrf_low, psrf_high],
     giving up (flagged, never silent) after ``max_batches`` batches.
+    ``seed`` keys the walks' RNG substreams and, in ``run_pipeline``, Louvain.
     """
 
-    walknum: int = DEFAULT_WALKNUM
+    walknum: int = 50
     stepnum: int | None = None
-    psrf_low: float = DEFAULT_PSRF_LOW
-    psrf_high: float = DEFAULT_PSRF_HIGH
-    max_batches: int = DEFAULT_MAX_BATCHES
+    psrf_low: float = 0.95
+    psrf_high: float = 1.05
+    max_batches: int = 20
     seed: int = 0
 
     def __post_init__(self):
@@ -74,7 +70,6 @@ class WalkBatch:
 
     visits: np.ndarray  # shape (num_walks, len(nodes)), nonnegative ints
     nodes: np.ndarray  # ascending node ids, one per column of visits
-    origin: int
     converged: bool = True
     psrf_value: float = 1.0
     batches: int = 1
@@ -245,12 +240,12 @@ def _walk_paths(
     return paths
 
 
-def _visit_counts(paths: np.ndarray, origin: int) -> WalkBatch:
+def _visit_counts(paths: np.ndarray) -> WalkBatch:
     """Visit counts per walk (row of ``paths``), over the visited nodes only."""
     nodes, column = np.unique(paths.ravel(), return_inverse=True)
     row = np.repeat(np.arange(len(paths)), paths.shape[1])
     visits = np.bincount(row * len(nodes) + column, minlength=len(paths) * len(nodes))
-    return WalkBatch(visits.reshape(len(paths), len(nodes)), nodes, origin)
+    return WalkBatch(visits.reshape(len(paths), len(nodes)), nodes)
 
 
 def _walk_rounds(
@@ -291,7 +286,7 @@ def _walk_rounds(
         for j, i in enumerate(active.tolist()):
             block = steps[j * cfg.walknum:(j + 1) * cfg.walknum, :width[i]]
             paths[i] = np.concatenate([paths[i], block])
-            batch = _visit_counts(paths[i], int(starts[i]))
+            batch = _visit_counts(paths[i])
             value = psrf(batch)
             converged = cfg.psrf_low <= value <= cfg.psrf_high
             if converged or batches == cfg.max_batches:

@@ -226,17 +226,17 @@ def test_criterion_5_walker_correctness():
 def test_criterion_6_psrf_formula():
     rng = np.random.default_rng(0)
     group = rng.integers(0, 5, size=(100, 3))
-    identical_groups = WalkBatch(visits=np.vstack([group, group]), nodes=np.arange(3), origin=0)
+    identical_groups = WalkBatch(visits=np.vstack([group, group]), nodes=np.arange(3))
     b_zero = psrf(identical_groups)
     b_zero_ok = abs(b_zero - math.sqrt(99 / 100)) <= 1e-12
 
-    constant = WalkBatch(visits=np.tile([2, 1, 0], (40, 1)), nodes=np.arange(3), origin=0)
+    constant = WalkBatch(visits=np.tile([2, 1, 0], (40, 1)), nodes=np.arange(3))
     degenerate = psrf(constant)
     degenerate_ok = degenerate == 1.0
 
     low = rng.normal(0.0, 0.01, size=(50, 2))
     high = rng.normal(10.0, 0.01, size=(50, 2))
-    divergent = psrf(WalkBatch(visits=np.vstack([low, high]), nodes=np.arange(2), origin=0))
+    divergent = psrf(WalkBatch(visits=np.vstack([low, high]), nodes=np.arange(2)))
     divergent_ok = divergent > 1.05
 
     ok = b_zero_ok and degenerate_ok and divergent_ok

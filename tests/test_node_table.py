@@ -119,7 +119,7 @@ def graph(request):
 
 
 def test_scores_csv_matches_per_row_loop(graph):
-    result = run_pipeline(graph, seed=1, q_threshold=0.2)
+    result = run_pipeline(graph, WalkConfig(seed=1), q_threshold=0.2)
     n = graph.num_nodes
     special = dataclasses.replace(result, scores=dataclasses.replace(
         result.scores, raw=special_column(n, 0), normalized=special_column(n, 5)))
@@ -128,7 +128,7 @@ def test_scores_csv_matches_per_row_loop(graph):
 
 
 def test_communities_csv_matches_per_row_loop(graph):
-    labeling = run_pipeline(graph, seed=1, q_threshold=0.2).labeling
+    labeling = run_pipeline(graph, WalkConfig(seed=1), q_threshold=0.2).labeling
     assert written(write_communities_csv, graph, labeling) == \
         communities_reference(graph, labeling)
     assert written(write_communities_csv, graph, labeling, seed=4, q_threshold=0.25) == \
@@ -164,7 +164,8 @@ def test_planted_labels_csv_matches_per_row_loop(tmp_path, kind, flags, make):
 
 def test_boundary_csvs_match_per_row_loops(graph):
     n = graph.num_nodes
-    for labels in (run_pipeline(graph, seed=1, q_threshold=0.2).labeling.labels.tolist(),
+    detected = run_pipeline(graph, WalkConfig(seed=1), q_threshold=0.2).labeling.labels
+    for labels in (detected.tolist(),
                    [(7 * v) % 12 for v in range(n)]):  # many crossings, two-digit labels
         labeling = CommunityLabeling(labels, modularity=0.0, num_communities=max(labels) + 1)
         bset = boundary_edges(graph, labeling)
@@ -179,7 +180,7 @@ def test_manifest_per_origin_maps_match_dict_reference(graph):
     """The four maps as the JSON of dicts built one origin at a time, keyed by dense id."""
     cfg = WalkConfig(walknum=6, stepnum=3, seed=1, max_batches=3, psrf_low=0.97,
                      psrf_high=1.03)
-    result = run_pipeline(graph, seed=1, q_threshold=0.2, walk=cfg)
+    result = run_pipeline(graph, cfg, q_threshold=0.2)
     mask = community_mask(graph, result.labeling)
     keys = ("walkers_used", "converged", "batches", "psrf")
     expected = {key: {} for key in keys}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from boundary_vicinity import (
+    WalkConfig,
     build_graph,
     connected_components,
     detect_all_communities,
@@ -514,7 +515,7 @@ def test_temporal_boundary_outnumbering_the_rest_exits_2(tmp_path, capsys):
 def test_run_pipeline_api_matches_cli(bridge_file, tmp_path):
     with open(bridge_file) as handle:
         g = load_edge_list(handle)
-    result = run_pipeline(g, seed=3, q_threshold=0.2)
+    result = run_pipeline(g, WalkConfig(seed=3), q_threshold=0.2)
     order = np.argsort(-result.scores.raw)
     assert set(order[:2].tolist()) == {2, 3}
     labeling, reports = detect_all_communities(g, seed=3, q_threshold=0.2)

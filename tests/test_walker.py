@@ -142,13 +142,13 @@ def test_walk_uniforms_match_per_walk_generators(seed, stepnum):
 def test_psrf_identical_groups_b_zero():
     rng = np.random.default_rng(0)
     group = rng.integers(0, 5, size=(100, 3))
-    batch = WalkBatch(visits=np.vstack([group, group]), nodes=np.arange(3), origin=0)
+    batch = WalkBatch(visits=np.vstack([group, group]), nodes=np.arange(3))
     n = 100
     assert psrf(batch) == pytest.approx(np.sqrt((n - 1) / n), abs=1e-12)
 
 
 def test_psrf_all_identical_walks_degenerate_one():
-    batch = WalkBatch(visits=np.tile([1, 2, 0], (40, 1)), nodes=np.arange(3), origin=0)
+    batch = WalkBatch(visits=np.tile([1, 2, 0], (40, 1)), nodes=np.arange(3))
     assert psrf(batch) == 1.0
 
 
@@ -156,22 +156,22 @@ def test_psrf_divergent_means_explodes():
     rng = np.random.default_rng(1)
     low = rng.normal(0.0, 0.01, size=(50, 2))
     high = rng.normal(10.0, 0.01, size=(50, 2))
-    batch = WalkBatch(visits=np.vstack([low, high]), nodes=np.arange(2), origin=0)
+    batch = WalkBatch(visits=np.vstack([low, high]), nodes=np.arange(2))
     assert psrf(batch) > 1.05
 
 
 def test_psrf_validates_grouping():
     with pytest.raises(ValueError):
-        psrf(WalkBatch(visits=np.zeros((2, 2)), nodes=np.arange(2), origin=0))  # chains of 1
+        psrf(WalkBatch(visits=np.zeros((2, 2)), nodes=np.arange(2)))  # chains of 1
 
 
 def test_psrf_leaves_out_odd_trailing_walk():
     visits = np.random.default_rng(2).integers(0, 5, size=(11, 3))
-    value = psrf(WalkBatch(visits=visits, nodes=np.arange(3), origin=0))
-    assert value == psrf(WalkBatch(visits=visits[:10], nodes=np.arange(3), origin=0))
-    assert value != psrf(WalkBatch(visits=visits[1:], nodes=np.arange(3), origin=0))
+    value = psrf(WalkBatch(visits=visits, nodes=np.arange(3)))
+    assert value == psrf(WalkBatch(visits=visits[:10], nodes=np.arange(3)))
+    assert value != psrf(WalkBatch(visits=visits[1:], nodes=np.arange(3)))
     with pytest.raises(ValueError):
-        psrf(WalkBatch(visits=np.zeros((3, 2)), nodes=np.arange(2), origin=0))  # chains of 1
+        psrf(WalkBatch(visits=np.zeros((3, 2)), nodes=np.arange(2)))  # chains of 1
 
 
 def test_converged_walks_isolated_origin_one_batch():
@@ -242,11 +242,11 @@ def loop_converged_walks(mask, start, cfg):
             paths.append(random_walk(mask, start, cfg.stepnum, rng))
         nodes = np.unique(np.concatenate(paths))
         visits = np.array([np.bincount(p, minlength=mask.num_nodes)[nodes] for p in paths])
-        value = psrf(WalkBatch(visits, nodes, start))
+        value = psrf(WalkBatch(visits, nodes))
         converged = cfg.psrf_low <= value <= cfg.psrf_high
         if converged:
             break
-    return WalkBatch(visits, nodes, start, converged, value, batches)
+    return WalkBatch(visits, nodes, converged, value, batches)
 
 
 UNCONVERGED = dict(max_batches=2, psrf_low=0.999, psrf_high=1.001)
