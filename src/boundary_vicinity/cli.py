@@ -194,6 +194,9 @@ def _walk_config(args) -> WalkConfig:
 
 def cmd_pipeline(args) -> int:
     walk = _walk_config(args)
+    if not 0.0 <= args.unconverged_tolerance <= 1.0:
+        raise UsageError(f"--unconverged-tolerance {args.unconverged_tolerance}: "
+                         "expected a fraction in [0, 1]")
     g = _load_graph(args.input)
     result = run_pipeline(g, walk, q_threshold=args.q_threshold)
     out = _out_dir(args)
@@ -291,12 +294,6 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.kind == "planted":
-        if args.parts < 2:
-            raise UsageError(f"--parts {args.parts}: need at least two parts to stitch")
-        if args.k < args.parts - 1:
-            raise UsageError(f"--k {args.k}: cross edges cannot connect {args.parts} parts")
-    out = _out_dir(args)
     kind = args.part_kind if args.kind == "planted" else args.kind
     param = f"p={args.p}" if kind == "er" else f"m={args.m}"
 
@@ -305,21 +302,27 @@ def cmd_generate(args) -> int:
             return erdos_renyi(args.n, args.p, seed=seed)
         return preferential_attachment(args.n, args.m, seed=seed)
 
-    if args.kind == "planted":
-        recipe = (f"kind=planted parts={args.parts} part_kind={kind} "
-                  f"n={args.n} {param} k={args.k} seed={args.seed}")
-        parts = [make(args.seed * 7919 + i) for i in range(args.parts)]
-        planted = connect_communities(parts, args.k, seed=args.seed)
-        g = planted.graph
+    planted = None
+    try:
+        if args.kind == "planted":
+            recipe = (f"kind=planted parts={args.parts} part_kind={kind} "
+                      f"n={args.n} {param} k={args.k} seed={args.seed}")
+            parts = [make(args.seed * 7919 + i) for i in range(args.parts)]
+            planted = connect_communities(parts, args.k, seed=args.seed)
+            g = planted.graph
+        else:
+            recipe = f"kind={kind} n={args.n} {param} seed={args.seed}"
+            g = make(args.seed)
+    except ValueError as exc:  # generate reads no input: its flags are at fault
+        raise UsageError(str(exc)) from exc
+    out = _out_dir(args)
+    if planted is not None:
         with open(out / "planted_labels.csv", "w") as handle:
             write_node_table(g, handle, "node_id,community_id", planted.planted_labels,
                              comment=recipe)
         with open(out / "planted_boundary.csv", "w") as handle:
             handle.write(f"# {recipe}\nnode_id\n")
             handle.writelines(f"{v}\n" for v in planted.planted_boundary.tolist())
-    else:
-        recipe = f"kind={kind} n={args.n} {param} seed={args.seed}"
-        g = make(args.seed)
     with open(out / "graph.edges", "w") as handle:
         handle.write(f"# {recipe}\n")
         write_edge_list(g, handle)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -11,13 +12,14 @@ from boundary_vicinity import (
     connected_components,
     detect_all_communities,
     detect_communities,
+    erdos_renyi,
     load_edge_list,
     run_pipeline,
     subgraph,
 )
 from boundary_vicinity import pipeline
-from boundary_vicinity.cli import _read_events, main
-from boundary_vicinity.pipeline import component_seed, write_scores_dot
+from boundary_vicinity.cli import _read_events, _walk_config, build_parser, main
+from boundary_vicinity.pipeline import component_seed, write_scores_csv, write_scores_dot
 
 BRIDGE = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n"
 
@@ -396,8 +398,13 @@ def test_usage_error_exit_code(tmp_path):
     assert main([]) == 1
     assert main(["pipeline"]) == 1  # missing --input
     assert main(["no-such-command"]) == 1
-    assert main(["pipeline", "--input", "unused.edges", "--walknum", "2"]) == 1
     # flag values are checked before any input is read: none of these files exist
+    pipeline = ["pipeline", "--input", "unused.edges"]
+    for flags in (["--walknum", "2"], ["--stepnum", "0"], ["--max-batches", "0"],
+                  ["--psrf-low", "1.2"], ["--psrf-high", "0.9"],
+                  ["--unconverged-tolerance", "-0.5"], ["--unconverged-tolerance", "1.5"],
+                  ["--unconverged-tolerance", "nan"]):
+        assert main(pipeline + flags) == 1, flags
     scores = ["overlap", "--a", "unused.csv", "--b", "unused.csv"]
     for flags in (["--ks", "0"], ["--ks", "a"], ["--ks", "1,,2"], ["--ks", "3,-1"],
                   ["--max-k", "0"], ["--max-k", "x"]):
@@ -405,11 +412,14 @@ def test_usage_error_exit_code(tmp_path):
     events = ["temporal", "--input", "unused.edges", "--events", "unused.csv"]
     for window in ("0", "-60", "1.5"):
         assert main(events + ["--window", window]) == 1, window
-    # generator flags are checked before anything is generated or written
+    # a generator flag error exits 1 before anything is written
     out = tmp_path / "generated"
     for flags in (["er", "--n", "0"], ["er", "--n", "x"], ["pa", "--m", "0"],
                   ["planted", "--parts", "0"], ["planted", "--parts", "1"],
-                  ["planted", "--k", "-1"], ["planted", "--parts", "4", "--k", "2"]):
+                  ["planted", "--k", "-1"], ["planted", "--parts", "4", "--k", "2"],
+                  ["pa", "--n", "2", "--m", "3"], ["er", "--p", "1.5"], ["er", "--p", "-0.1"],
+                  ["planted", "--n", "100", "--k", "1000"],
+                  ["planted", "--n", "5", "--k", "40"]):
         assert main(["generate", *flags, "--out", str(out)]) == 1, flags
     assert not out.exists()
 
@@ -521,3 +531,32 @@ def test_run_pipeline_api_matches_cli(bridge_file, tmp_path):
     labeling, reports = detect_all_communities(g, seed=3, q_threshold=0.2)
     assert np.array_equal(labeling.labels, result.labeling.labels)
     assert len(reports) == 1
+
+
+def test_pipeline_walk_flags_default_to_walk_config():
+    args = build_parser().parse_args(["pipeline", "--input", "x"])
+    assert {f.name for f in dataclasses.fields(WalkConfig)} <= set(vars(args))
+    assert _walk_config(args) == WalkConfig()
+
+
+def test_run_pipeline_seeds_louvain_with_the_walk_seed():
+    g = erdos_renyi(60, 0.1, seed=1)
+    found = set()
+    for seed in range(4):
+        labels = run_pipeline(g, WalkConfig(seed=seed), q_threshold=0.0).labeling.labels
+        expected = detect_all_communities(g, seed=seed, q_threshold=0.0)[0].labels
+        assert np.array_equal(labels, expected)
+        found.add(tuple(labels.tolist()))
+    assert len(found) > 1  # the seed matters on this graph
+
+
+def test_scores_csv_header_names_the_walk_seed(bridge_file):
+    with open(bridge_file) as handle:
+        g = load_edge_list(handle)
+    headers = []
+    for seed in (1, 2):
+        stream = io.StringIO()
+        write_scores_csv(run_pipeline(g, WalkConfig(seed=seed), q_threshold=0.2), stream)
+        headers.append(stream.getvalue().splitlines()[0])
+        assert headers[-1].startswith(f"# seed={seed} ")
+    assert headers[0] != headers[1]
