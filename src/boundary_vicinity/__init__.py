@@ -9,6 +9,13 @@ the toolkit.
 
 __version__ = "0.1.0"
 
+import os
+
+# No code here calls BLAS, and numpy's bundled OpenBLAS starts a thread per
+# core while numpy is imported, which costs each `bva` run tens of ms.
+# Set before the first submodule imports numpy; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .boundary import BoundarySet, boundary_edges
 from .centrality import (
     OverlapCurve,

@@ -381,6 +381,16 @@ def _positive_ints(text: str) -> list[int]:
     return [_positive_int(k) for k in text.split(",")]
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_walk_flags(parser):
     """One flag per WalkConfig field but ``seed``, defaulting to the field's default."""
     walk = WalkConfig()
@@ -405,7 +415,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pipeline", help="communities, boundary, and walker scores")
     common(p)
-    p.add_argument("--q-threshold", type=float, default=DEFAULT_Q_THRESHOLD)
+    p.add_argument("--q-threshold", type=_finite_float, default=DEFAULT_Q_THRESHOLD)
     _add_walk_flags(p)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; scoring runs on one thread")
@@ -420,7 +430,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("communities", help="community labels CSV + JSON summary")
     common(p)
-    p.add_argument("--q-threshold", type=float, default=DEFAULT_Q_THRESHOLD)
+    p.add_argument("--q-threshold", type=_finite_float, default=DEFAULT_Q_THRESHOLD)
     p.set_defaults(func=cmd_communities)
 
     p = sub.add_parser("boundary", help="boundary edges/nodes from a labels CSV")
@@ -461,7 +471,7 @@ def build_parser() -> _Parser:
     p.add_argument("--events", required=True, help="epoch_seconds,node_id CSV")
     p.add_argument("--window", type=_positive_int, default=60,
                    help="window size in seconds")
-    p.add_argument("--q-threshold", type=float, default=DEFAULT_Q_THRESHOLD)
+    p.add_argument("--q-threshold", type=_finite_float, default=DEFAULT_Q_THRESHOLD)
     p.add_argument("--z-threshold", type=float, default=3.0)
     p.set_defaults(func=cmd_temporal)
 

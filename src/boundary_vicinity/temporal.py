@@ -98,7 +98,7 @@ def sample_control_nodes(
             f"the boundary set ({len(boundary_set)} nodes) outnumbers the "
             f"{len(population)} other nodes, so no equal-size control set exists"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed % (1 << 64))  # numpy takes no negative seed
     picks = rng.choice(len(population), size=len(boundary_set), replace=False)
     return {population[int(i)] for i in picks}
 

@@ -63,11 +63,22 @@ def exactness_cases(karate):
         graphs[f"er60-{seed}"] = erdos_renyi(60, 0.04, seed=seed)  # isolated nodes
     for seed in range(2):
         graphs[f"pa300-{seed}"] = preferential_attachment(300, 2, seed=seed)
+    # with every source in one block, a level holds more than 2^16 nodes
+    graphs["pa400-m3"] = preferential_attachment(400, 3, seed=0)
     return {name: (g, brandes_reference(g)) for name, g in graphs.items()}
 
 
 def sources_per_block(g):
     return centrality._BLOCK_ENTRIES // (g.num_nodes + 2 * g.num_edges)
+
+
+def summed_level_sizes(g):
+    """Nodes at each BFS depth, summed over all sources."""
+    sizes = np.zeros(g.num_nodes, dtype=np.int64)
+    for s in range(g.num_nodes):
+        dist = np.array(centrality._bfs_counts(g, s)[1])
+        sizes += np.bincount(dist[dist >= 0], minlength=g.num_nodes)
+    return sizes
 
 
 def test_brandes_bit_identical_to_per_source_loop(exactness_cases):
@@ -80,13 +91,23 @@ def test_brandes_bit_identical_to_per_source_loop(exactness_cases):
     assert 1 < blocks["pa300-0"] < 300 and 300 % blocks["pa300-0"] != 0
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("block", [1, 7, 64, 400])
 def test_brandes_does_not_depend_on_block_size(exactness_cases, monkeypatch, block):
     for name, (g, expected) in exactness_cases.items():
         monkeypatch.setattr(centrality, "_BLOCK_ENTRIES",
                             block * (g.num_nodes + 2 * g.num_edges))
         assert sources_per_block(g) == block
         assert np.array_equal(betweenness_brandes(g), expected), (name, block)
+
+
+def test_block_sweep_runs_both_child_sorts(exactness_cases):
+    """A level of at most 2^16 nodes is sorted on a 16-bit key, a wider one on
+    int64: the default blocks keep every level narrow, and block 400 of the
+    sweep puts all of pa400-m3 in one block with a wider level."""
+    for name, (g, _) in exactness_cases.items():
+        assert min(sources_per_block(g), g.num_nodes) * g.num_nodes <= 1 << 16, name
+    g, _ = exactness_cases["pa400-m3"]
+    assert g.num_nodes <= 400 and summed_level_sizes(g).max() > 1 << 16
 
 
 def test_path_graph_middle_node():

@@ -394,6 +394,20 @@ def test_temporal_command(tmp_path, bridge_file):
     assert 5 in report["series"]["boundary_active"]["spike_windows"]
 
 
+def test_temporal_takes_a_negative_seed(tmp_path, bridge_file):
+    events = tmp_path / "events.csv"
+    events.write_text("".join(f"{t * 7},{t % 6}\n" for t in range(200)))
+
+    def control_column(seed):
+        out = tmp_path / seed
+        assert main(["temporal", "--input", str(bridge_file), "--events", str(events),
+                     "--seed", seed, "--q-threshold", "0.2", "--out", str(out)]) == 0
+        rows = (out / "temporal.csv").read_text().splitlines()[2:]
+        return [row.rpartition(",")[2] for row in rows]
+
+    assert control_column("-1") == control_column(str(2**64 - 1))
+
+
 def test_usage_error_exit_code(tmp_path):
     assert main([]) == 1
     assert main(["pipeline"]) == 1  # missing --input
@@ -412,6 +426,9 @@ def test_usage_error_exit_code(tmp_path):
     events = ["temporal", "--input", "unused.edges", "--events", "unused.csv"]
     for window in ("0", "-60", "1.5"):
         assert main(events + ["--window", window]) == 1, window
+    for command in (pipeline, ["communities", "--input", "unused.edges"], events):
+        for value in ("nan", "inf", "-inf", "x"):
+            assert main(command + ["--q-threshold", value]) == 1, (command[0], value)
     # a generator flag error exits 1 before anything is written
     out = tmp_path / "generated"
     for flags in (["er", "--n", "0"], ["er", "--n", "x"], ["pa", "--m", "0"],

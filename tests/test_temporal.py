@@ -132,6 +132,18 @@ def test_control_deterministic():
     assert np.array_equal(s1.totals, s2.totals)
 
 
+def test_control_seed_reduced_mod_2_64():
+    boundary, nodes = {3, 8, 20}, set(range(40))
+    population = sorted(nodes - boundary)
+    for seed in (0, 9, 2**64 - 1):  # drawn by numpy's generator for that seed, as before
+        picks = np.random.default_rng(seed).choice(len(population), size=3, replace=False)
+        assert sample_control_nodes(boundary, nodes, seed=seed) == \
+            {population[int(i)] for i in picks}
+    for seed in (-1, 2**64 + 9):
+        assert sample_control_nodes(boundary, nodes, seed=seed) == \
+            sample_control_nodes(boundary, nodes, seed=seed % 2**64)
+
+
 def test_control_boundary_equals_population_errors():
     with pytest.raises(ValueError):
         sample_control_nodes({0, 1}, {0, 1}, seed=0)
