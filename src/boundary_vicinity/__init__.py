@@ -20,9 +20,7 @@ from .boundary import BoundarySet, boundary_edges
 from .centrality import (
     OverlapCurve,
     betweenness_brandes,
-    betweenness_bruteforce,
     rank_overlap,
-    top_k_nodes,
 )
 from .community import (
     CommunityLabeling,
@@ -86,7 +84,6 @@ __all__ = [
     "WalkBatch",
     "WalkConfig",
     "betweenness_brandes",
-    "betweenness_bruteforce",
     "bin_events",
     "boundary_edges",
     "build_graph",
@@ -111,6 +108,5 @@ __all__ = [
     "sample_control_nodes",
     "scale_community_weights",
     "subgraph",
-    "top_k_nodes",
     "write_edge_list",
 ]

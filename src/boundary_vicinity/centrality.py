@@ -1,8 +1,7 @@
-"""Shortest-path betweenness (two independent routes) and top-k rank overlap."""
+"""Shortest-path betweenness (Brandes) and top-k rank overlap."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -10,7 +9,6 @@ import numpy as np
 
 from .graph import Graph
 
-BRUTEFORCE_NODE_LIMIT = 200
 # betweenness_brandes' sources per block times (nodes + CSR entries)
 _BLOCK_ENTRIES = 1 << 17
 
@@ -21,29 +19,6 @@ class OverlapCurve:
 
     ks: tuple[int, ...]
     proportions: tuple[float, ...]
-
-
-def _bfs_counts(g: Graph, source: int) -> tuple[list[int], list[int], list[int], list[list[int]]]:
-    """BFS from source: visit order, distances, geodesic counts, predecessors."""
-    indptr, indices = (a.tolist() for a in g.csr)
-    dist = [-1] * g.num_nodes
-    sigma = [0] * g.num_nodes
-    preds: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    dist[source] = 0
-    sigma[source] = 1
-    order: list[int] = []
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in indices[indptr[u]:indptr[u + 1]]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-            if dist[w] == dist[u] + 1:
-                sigma[w] += sigma[u]
-                preds[w].append(u)
-    return order, dist, sigma, preds
 
 
 def betweenness_brandes(g: Graph) -> np.ndarray:
@@ -144,51 +119,14 @@ def _block_dependencies(
     return delta
 
 
-def betweenness_bruteforce(g: Graph) -> np.ndarray:
-    """Independent betweenness oracle by explicit path-count convolution.
-
-    Builds the full all-pairs distance and geodesic-count matrices with one BFS
-    per node, then for every unordered pair (s, t) credits each interior
-    vertex v on a geodesic with sigma(s,v) * sigma(v,t) / sigma(s,t).
-    Guarded to small graphs; quadratic memory and cubic time.
-    """
-    n = g.num_nodes
-    if n > BRUTEFORCE_NODE_LIMIT:
-        raise ValueError(f"brute-force betweenness limited to {BRUTEFORCE_NODE_LIMIT} nodes")
-    dist = np.full((n, n), -1, dtype=np.int64)
-    sigma = np.zeros((n, n), dtype=np.int64)
-    for s in range(n):
-        _, d, counts, _ = _bfs_counts(g, s)
-        dist[s] = d
-        sigma[s] = counts
-    scores = np.zeros(n)
-    for s in range(n):
-        for t in range(s + 1, n):
-            if dist[s, t] < 0:
-                continue
-            on_geodesic = (dist[s] >= 0) & (dist[s] + dist[t] == dist[s, t])
-            on_geodesic[s] = on_geodesic[t] = False
-            through = sigma[s] * sigma[t]
-            scores[on_geodesic] += through[on_geodesic] / sigma[s, t]
-    return scores
-
-
-def top_k_nodes(scores: Sequence[float], k: int) -> list[int]:
-    """Top k node ids by descending score, ties broken by ascending id."""
-    values = np.asarray(scores, dtype=float)
-    if not (0 < k <= len(values)):
-        raise ValueError(f"k must be in [1, {len(values)}], got {k}")
-    order = np.lexsort((np.arange(len(values)), -values))
-    return [int(v) for v in order[:k]]
-
-
 def rank_overlap(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> OverlapCurve:
     """Proportion of shared members between the two top-k sets, per k.
 
-    Symmetric in (a, b) and invariant under strictly monotone transforms of
-    either vector, since only the induced rankings matter. Each vector is
-    ranked once: a node is in both top-k sets exactly when the worse of its
-    two ranks is below k.
+    A top-k set holds the first k node ids in the order of descending
+    score, then ascending id. Symmetric in (a, b) and invariant under
+    strictly monotone transforms of either vector, since only the induced
+    rankings matter. Each vector is ranked once: a node is in both top-k
+    sets exactly when the worse of its two ranks is below k.
     """
     if len(a) != len(b):
         raise ValueError(f"score vectors differ in length: {len(a)} vs {len(b)}")
@@ -197,7 +135,7 @@ def rank_overlap(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> O
         if not (0 < k <= n):
             raise ValueError(f"k must be in [1, {n}], got {k}")
     ranks = []
-    for scores in (a, b):  # the order of top_k_nodes: descending score, then ascending id
+    for scores in (a, b):
         values = np.asarray(scores, dtype=float)
         rank = np.empty(n, dtype=np.intp)
         rank[np.lexsort((np.arange(n), -values))] = np.arange(n)

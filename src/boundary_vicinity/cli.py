@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .boundary import boundary_edges
-from .centrality import betweenness_brandes, betweenness_bruteforce, rank_overlap
+from .centrality import betweenness_brandes, rank_overlap
 from .community import DEFAULT_Q_THRESHOLD, CommunityLabeling, modularity
 from .generators import connect_communities, erdos_renyi, preferential_attachment
 from .graph import Graph, load_edge_list, write_edge_list
@@ -265,7 +265,7 @@ def cmd_boundary(args) -> int:
 
 def cmd_betweenness(args) -> int:
     g = _load_graph(args.input)
-    values = betweenness_bruteforce(g) if args.oracle else betweenness_brandes(g)
+    values = betweenness_brandes(g)
     with open(_out_dir(args) / "betweenness.csv", "w") as handle:
         write_betweenness_csv(g, values, handle)
     return 0
@@ -332,20 +332,12 @@ def cmd_generate(args) -> int:
 def cmd_temporal(args) -> int:
     g = _load_graph(args.input)
     events = _read_events(args.events, g)
-    # TODO: optional per-window boundary recomputation for evolving networks
     labeling, _ = detect_all_communities(g, seed=args.seed, q_threshold=args.q_threshold)
     boundary_nodes = boundary_edges(g, labeling).boundary_nodes
     totals = bin_events(events, args.window)
     boundary_series = bin_events(events, args.window, node_filter=boundary_nodes)
     control = control_series(events, boundary_nodes, range(g.num_nodes), args.window,
                              seed=args.seed)
-    out = _out_dir(args)
-    with open(out / "temporal.csv", "w") as handle:
-        handle.write(f"# seed={args.seed} window={args.window} "
-                     f"q_threshold={args.q_threshold} z_threshold={args.z_threshold}\n")
-        handle.write("window_index,total,boundary_active,control_active\n")
-        handle.writelines(map("{},{},{},{}\n".format, range(totals.num_windows),
-                              totals.totals, boundary_series.actives, control.actives))
     report = {
         "seed": args.seed,
         "window_seconds": args.window,
@@ -353,6 +345,7 @@ def cmd_temporal(args) -> int:
         "num_boundary_nodes": len(boundary_nodes),
         "series": {},
     }
+    # a spike error (too few windows) is raised before anything is written
     for label, counts in (
         ("total", totals.totals),
         ("boundary_active", boundary_series.actives),
@@ -363,6 +356,13 @@ def cmd_temporal(args) -> int:
             "spike_windows": list(spikes.spike_windows),
             "zscores": [z if math.isfinite(z) else str(z) for z in spikes.zscores],
         }
+    out = _out_dir(args)
+    with open(out / "temporal.csv", "w") as handle:
+        handle.write(f"# seed={args.seed} window={args.window} "
+                     f"q_threshold={args.q_threshold} z_threshold={args.z_threshold}\n")
+        handle.write("window_index,total,boundary_active,control_active\n")
+        handle.writelines(map("{},{},{},{}\n".format, range(totals.num_windows),
+                              totals.totals, boundary_series.actives, control.actives))
     _write_json(out / "spikes.json", report)
     return 0
 
@@ -440,8 +440,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("betweenness", help="shortest-path betweenness CSV")
     common(p)
-    p.add_argument("--oracle", action="store_true",
-                   help="use the brute-force path-counting route (small graphs)")
     p.set_defaults(func=cmd_betweenness)
 
     p = sub.add_parser("overlap", help="top-k overlap curve between two score CSVs")
@@ -472,7 +470,7 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=_positive_int, default=60,
                    help="window size in seconds")
     p.add_argument("--q-threshold", type=_finite_float, default=DEFAULT_Q_THRESHOLD)
-    p.add_argument("--z-threshold", type=float, default=3.0)
+    p.add_argument("--z-threshold", type=_finite_float, default=3.0)
     p.set_defaults(func=cmd_temporal)
 
     return parser

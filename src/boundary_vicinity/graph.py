@@ -193,12 +193,12 @@ def connected_components(g: Graph) -> ComponentPartition:
     return ComponentPartition(component_id, tuple(np.split(members, ends)[:-1]))
 
 
-def subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+def subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     """Induced subgraph on ``nodes`` with dense re-labeled ids.
 
-    New ids follow ascending old id order. Returns the subgraph and the
-    old-to-new id mapping. Edges survive iff both endpoints are kept, in
-    ``g``'s edge order.
+    New ids follow ascending old id order: node i of the subgraph is the
+    i-th smallest of ``nodes``. Edges survive iff both endpoints are kept,
+    in ``g``'s edge order.
     """
     selected = np.unique(np.fromiter(nodes, dtype=np.int64))
     outside = selected[(selected < 0) | (selected >= g.num_nodes)]
@@ -207,7 +207,5 @@ def subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     new_id = np.full(g.num_nodes, -1)
     new_id[selected] = np.arange(len(selected))
     edges = new_id[g.edges]
-    kept = selected.tolist()
-    names = tuple(g.names[v] for v in kept) if g.names is not None else None
-    return (Graph(len(kept), edges[(edges >= 0).all(axis=1)], names=names),
-            dict(zip(kept, range(len(kept)))))
+    names = tuple(g.names[v] for v in selected.tolist()) if g.names is not None else None
+    return Graph(len(selected), edges[(edges >= 0).all(axis=1)], names=names)

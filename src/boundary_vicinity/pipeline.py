@@ -79,7 +79,7 @@ def detect_all_communities(
     next_label = 0
     for index, members in enumerate(parts.components):
         # the induced subgraph on every node is g itself, in the same order
-        sub = g if len(members) == g.num_nodes else subgraph(g, members)[0]
+        sub = g if len(members) == g.num_nodes else subgraph(g, members)
         if sub.num_edges == 0:
             labels[members] = next_label
             next_label += 1

@@ -117,19 +117,6 @@ def default_step_count(n: int) -> int:
     return max(2, value)
 
 
-def _walk_rng(seed: int, origin: int, walk_index: int) -> np.random.Generator:
-    """Counter-keyed generator: one independent stream per individual walk.
-
-    Scheduling cannot perturb results because a walk's randomness depends
-    only on (seed, origin, walk index), never on execution order.
-    """
-    key = np.array(
-        [seed % (1 << 64), ((origin & 0xFFFFFFFF) << 32) | (walk_index & 0xFFFFFFFF)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def random_walk(
     mask: Graph, start: int, stepnum: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -183,11 +170,12 @@ def psrf(batch: WalkBatch) -> float:
 def _walk_uniforms(
     seed: int, origins: np.ndarray, walks: np.ndarray, stepnum: int
 ) -> np.ndarray:
-    """``_walk_rng(seed, origin, w).random(stepnum)`` for many walks at once.
+    """Each walk's first ``stepnum`` draws of ``random()``, for many walks at once.
 
-    One row per (origin, walk) pair. This is numpy's Philox4x64-10 written
-    out over arrays: walk w of ``origin`` is keyed
-    [seed mod 2^64, (origin mod 2^32) << 32 | (w mod 2^32)], its j-th
+    One row per (origin, walk) pair. Walk w of ``origin`` draws what
+    ``np.random.Generator(np.random.Philox(key=k))`` draws, with the key
+    k = [seed mod 2^64, (origin mod 2^32) << 32 | (w mod 2^32)]. This is
+    numpy's Philox4x64-10 written out over arrays: the walk's j-th
     block of four words enciphers the counter j (from 1), and a word x
     gives the double (x >> 11) * 2^-53. The 64-bit products are taken from
     32-bit halves, so no intermediate overflows.
@@ -259,7 +247,8 @@ def _walk_rounds(
     into two arrival-order chains (see ``psrf``). A start stops once the value falls inside the convergence
     window, or after ``cfg.max_batches`` batches with ``converged=False``;
     the engine then yields (its position in ``starts``, its batch). Walk w
-    of start s draws what ``_walk_rng(cfg.seed, s, w)`` draws, so a start's
+    of start s draws from the Philox stream keyed
+    [cfg.seed mod 2^64, s << 32 | w] (see ``_walk_uniforms``), so a start's
     batch does not depend on the other starts.
     """
     if cfg.stepnum is None:

@@ -16,7 +16,6 @@ from boundary_vicinity import (
     WalkBatch,
     WalkConfig,
     betweenness_brandes,
-    betweenness_bruteforce,
     bin_events,
     boundary_edges,
     build_graph,
@@ -33,10 +32,10 @@ from boundary_vicinity import (
     psrf,
     random_walk,
     rank_overlap,
-    top_k_nodes,
 )
 from boundary_vicinity.cli import main
 from conftest import random_connected_graph
+from reference import betweenness_bruteforce, top_k_nodes
 from test_walker import enumerate_visit_moments
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from boundary_vicinity import (
     betweenness_brandes,
-    betweenness_bruteforce,
     boundary_edges,
     build_graph,
     centrality,
@@ -14,9 +13,9 @@ from boundary_vicinity import (
     erdos_renyi,
     preferential_attachment,
     rank_overlap,
-    top_k_nodes,
 )
 from conftest import neighbors, random_connected_graph
+from reference import _bfs_counts, betweenness_bruteforce, top_k_nodes
 
 
 def brandes_reference(g):
@@ -76,7 +75,7 @@ def summed_level_sizes(g):
     """Nodes at each BFS depth, summed over all sources."""
     sizes = np.zeros(g.num_nodes, dtype=np.int64)
     for s in range(g.num_nodes):
-        dist = np.array(centrality._bfs_counts(g, s)[1])
+        dist = np.array(_bfs_counts(g, s)[1])
         sizes += np.bincount(dist[dist >= 0], minlength=g.num_nodes)
     return sizes
 

@@ -219,9 +219,15 @@ def test_components_endpoints_agree(karate):
         assert parts.component_id[u] == parts.component_id[v]
 
 
+def subgraph_mapping(nodes):
+    """Old-to-new ids of ``subgraph``: new ids are positions in ``np.unique(nodes)``."""
+    kept = np.unique(list(nodes)).tolist()
+    return dict(zip(kept, range(len(kept))))
+
+
 def test_subgraph_keeps_internal_edge():
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-    sub, mapping = subgraph(g, {0, 1})
+    sub, mapping = subgraph(g, {0, 1}), subgraph_mapping({0, 1})
     assert sub.num_nodes == 2
     assert sub.num_edges == 1
     assert mapping == {0: 0, 1: 1}
@@ -229,13 +235,13 @@ def test_subgraph_keeps_internal_edge():
 
 def test_subgraph_identity():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    sub, mapping = subgraph(g, range(4))
+    sub, mapping = subgraph(g, range(4)), subgraph_mapping(range(4))
     assert np.array_equal(sub.edges, g.edges)
     assert mapping == {v: v for v in range(4)}
 
 
 def test_subgraph_drops_cross_edge(two_triangles_bridged):
-    sub, _ = subgraph(two_triangles_bridged, {0, 1, 2})
+    sub = subgraph(two_triangles_bridged, {0, 1, 2})
     assert sub.num_nodes == 3
     assert sub.num_edges == 3
 
@@ -251,9 +257,12 @@ def test_subgraph_degrees_never_grow():
     for _ in range(30):
         g = random_connected_graph(rng)
         keep = [v for v in range(g.num_nodes) if rng.random() < 0.6]
-        sub, mapping = subgraph(g, keep)
+        sub, mapping = subgraph(g, keep), subgraph_mapping(keep)
         for old, new in mapping.items():
             assert sub.degree(new) <= g.degree(old)
+        assert sub.num_nodes == len(mapping)
+        assert sub.edges.tolist() == [[mapping[u], mapping[v]] for u, v in g.edges.tolist()
+                                      if u in mapping and v in mapping]
 
 
 @pytest.mark.parametrize("num_nodes,edges,message", [

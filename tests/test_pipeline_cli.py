@@ -19,7 +19,13 @@ from boundary_vicinity import (
 )
 from boundary_vicinity import pipeline
 from boundary_vicinity.cli import _read_events, _walk_config, build_parser, main
-from boundary_vicinity.pipeline import component_seed, write_scores_csv, write_scores_dot
+from boundary_vicinity.pipeline import (
+    component_seed,
+    write_betweenness_csv,
+    write_scores_csv,
+    write_scores_dot,
+)
+from reference import betweenness_bruteforce
 
 BRIDGE = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n"
 
@@ -94,7 +100,8 @@ def per_component_labels(g, seed, q_threshold):
     """Labels as detect_all_communities defines them, every component copied by subgraph."""
     labels, next_label = [-1] * g.num_nodes, 0
     for index, members in enumerate(connected_components(g).components):
-        sub, mapping = subgraph(g, members)
+        sub = subgraph(g, members)
+        mapping = dict(zip(np.unique(members).tolist(), range(sub.num_nodes)))
         detected = detect_communities(sub, seed=component_seed(seed, index)) \
             if sub.num_edges else None
         if detected is None or detected.modularity < q_threshold:
@@ -290,13 +297,13 @@ def test_communities_json_local_moves_match_manifest(tmp_path):
 
 
 def test_betweenness_command_and_oracle_agree(bridge_file, tmp_path):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert main(["betweenness", "--input", str(bridge_file), "--out", str(out_a)]) == 0
-    assert main(["betweenness", "--input", str(bridge_file), "--oracle",
-                 "--out", str(out_b)]) == 0
-    assert (out_a / "betweenness.csv").read_bytes() == \
-        (out_b / "betweenness.csv").read_bytes()
+    out = tmp_path / "out"
+    assert main(["betweenness", "--input", str(bridge_file), "--out", str(out)]) == 0
+    with open(bridge_file) as handle:
+        g = load_edge_list(handle)
+    expected = io.StringIO()
+    write_betweenness_csv(g, betweenness_bruteforce(g), expected)
+    assert (out / "betweenness.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_overlap_command(bridge_file, tmp_path):
@@ -429,6 +436,9 @@ def test_usage_error_exit_code(tmp_path):
     for command in (pipeline, ["communities", "--input", "unused.edges"], events):
         for value in ("nan", "inf", "-inf", "x"):
             assert main(command + ["--q-threshold", value]) == 1, (command[0], value)
+    for value in ("nan", "inf", "-inf", "x"):
+        assert main(events + ["--z-threshold", value]) == 1, value
+    assert main(["betweenness", "--input", "unused.edges", "--oracle"]) == 1
     # a generator flag error exits 1 before anything is written
     out = tmp_path / "generated"
     for flags in (["er", "--n", "0"], ["er", "--n", "x"], ["pa", "--m", "0"],
@@ -537,6 +547,17 @@ def test_temporal_boundary_outnumbering_the_rest_exits_2(tmp_path, capsys):
     assert "error: the boundary set (" in err
     assert "so no equal-size control set exists" in err
     assert not (tmp_path / "out" / "temporal.csv").exists()
+
+
+def test_temporal_too_few_windows_exits_2_and_writes_nothing(tmp_path, bridge_file, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text("".join(f"{t * 2},{t % 6}\n" for t in range(200)))  # 400 s
+    out = tmp_path / "out"
+    code = main(["temporal", "--input", str(bridge_file), "--events", str(events),
+                 "--window", "100000", "--q-threshold", "0.2", "--out", str(out)])
+    assert code == 2
+    assert "need at least 5 windows, got 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_pipeline_api_matches_cli(bridge_file, tmp_path):

@@ -28,8 +28,9 @@ from boundary_vicinity import (
     run_converged_walks,
     scale_community_weights,
 )
-from boundary_vicinity.walker import _walk_rng, _walk_uniforms
+from boundary_vicinity.walker import _walk_uniforms
 from conftest import neighbors as graph_neighbors
+from reference import _walk_rng
 
 
 def enumerate_visit_moments(mask, start, stepnum):
