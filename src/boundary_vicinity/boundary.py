@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import CommunityLabeling
 from .graph import Graph
 
 
@@ -24,13 +23,13 @@ class BoundarySet:
     boundary_nodes: np.ndarray
 
 
-def boundary_edges(g: Graph, labeling: CommunityLabeling) -> BoundarySet:
+def boundary_edges(g: Graph, labels: np.ndarray) -> BoundarySet:
     """Collect every edge whose two endpoints have different labels.
 
+    ``labels`` holds one community label per node, as an int array.
     Relabeling communities by any permutation leaves the result unchanged;
     only label equality matters.
     """
-    labels = labeling.labels
     if len(labels) != g.num_nodes:
         raise ValueError(f"labeling covers {len(labels)} nodes, graph has {g.num_nodes}")
     crossing = g.edges[labels[g.edges[:, 0]] != labels[g.edges[:, 1]]]

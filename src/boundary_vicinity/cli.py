@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .boundary import boundary_edges
 from .centrality import betweenness_brandes, rank_overlap
-from .community import DEFAULT_Q_THRESHOLD, CommunityLabeling, modularity
+from .community import DEFAULT_Q_THRESHOLD
 from .generators import connect_communities, erdos_renyi, preferential_attachment
 from .graph import Graph, load_edge_list, write_edge_list
 from .pipeline import (
@@ -36,7 +36,7 @@ from .pipeline import (
     write_scores_dot,
     write_scores_json,
 )
-from .temporal import bin_events, control_series, detect_spikes
+from .temporal import DEFAULT_Z_THRESHOLD, bin_events, control_series, detect_spikes
 from .walker import WalkConfig
 
 USAGE_ERROR = 1
@@ -102,8 +102,8 @@ def _bad_line(path: str, header: str | None, index: int, problem: str) -> InputE
     return InputError(f"{path}: line {line_number}: {problem}")
 
 
-def _read_labels(path: str, g: Graph) -> CommunityLabeling:
-    """Load a node_id,community_id CSV produced by the communities command."""
+def _read_labels(path: str, g: Graph) -> np.ndarray:
+    """Node labels from a node_id,community_id CSV, as written by the communities command."""
     header = "node_id,community_id"
     by_name = {g.name_of(v): v for v in range(g.num_nodes)}
     labels = [-1] * g.num_nodes
@@ -127,9 +127,7 @@ def _read_labels(path: str, g: Graph) -> CommunityLabeling:
     labels = np.array(labels)
     if (labels < 0).any():
         raise InputError(f"{path}: does not label every node of the graph")
-    q = modularity(g, labels) if g.num_edges > 0 else 0.0
-    return CommunityLabeling(labels=labels, modularity=q,
-                             num_communities=int(labels.max()) + 1)
+    return labels
 
 
 def _read_scores(path: str) -> dict[str, float]:
@@ -209,10 +207,10 @@ def cmd_pipeline(args) -> int:
         with open(out / "scores.dot", "w") as handle:
             write_scores_dot(g, result.scores.normalized, handle)
     with open(out / "communities.csv", "w") as handle:
-        write_communities_csv(g, result.labeling, handle,
+        write_communities_csv(g, result.labeling.labels, handle,
                               seed=walk.seed, q_threshold=args.q_threshold)
     with open(out / "boundary.csv", "w") as handle:
-        write_boundary_csv(g, result.labeling, result.bset, handle)
+        write_boundary_csv(g, result.labeling.labels, result.bset, handle)
     _write_json(out / "manifest.json", build_manifest(result))
     if result.scores.warning:
         print(f"warning: {result.scores.warning}", file=sys.stderr)
@@ -237,7 +235,7 @@ def cmd_communities(args) -> int:
     labeling, reports = detect_all_communities(g, seed=args.seed, q_threshold=args.q_threshold)
     out = _out_dir(args)
     with open(out / "communities.csv", "w") as handle:
-        write_communities_csv(g, labeling, handle,
+        write_communities_csv(g, labeling.labels, handle,
                               seed=args.seed, q_threshold=args.q_threshold)
     _write_json(out / "communities.json", {
         "num_communities": labeling.num_communities,
@@ -253,13 +251,13 @@ def cmd_communities(args) -> int:
 
 def cmd_boundary(args) -> int:
     g = _load_graph(args.input)
-    labeling = _read_labels(args.labels, g)
-    bset = boundary_edges(g, labeling)
+    labels = _read_labels(args.labels, g)
+    bset = boundary_edges(g, labels)
     out = _out_dir(args)
     with open(out / "boundary.csv", "w") as handle:
-        write_boundary_csv(g, labeling, bset, handle)
+        write_boundary_csv(g, labels, bset, handle)
     with open(out / "boundary_nodes.csv", "w") as handle:
-        write_boundary_nodes_csv(g, labeling, bset, handle)
+        write_boundary_nodes_csv(g, labels, bset, handle)
     return 0
 
 
@@ -333,11 +331,10 @@ def cmd_temporal(args) -> int:
     g = _load_graph(args.input)
     events = _read_events(args.events, g)
     labeling, _ = detect_all_communities(g, seed=args.seed, q_threshold=args.q_threshold)
-    boundary_nodes = boundary_edges(g, labeling).boundary_nodes
+    boundary_nodes = boundary_edges(g, labeling.labels).boundary_nodes
     totals = bin_events(events, args.window)
     boundary_series = bin_events(events, args.window, node_filter=boundary_nodes)
-    control = control_series(events, boundary_nodes, range(g.num_nodes), args.window,
-                             seed=args.seed)
+    control = control_series(events, boundary_nodes, g.num_nodes, args.window, seed=args.seed)
     report = {
         "seed": args.seed,
         "window_seconds": args.window,
@@ -411,10 +408,13 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--input", "-i", required=True, help="edge-list file")
         p.add_argument("--out", "-o", default=".", help="output directory")
+
+    def seeded(p):
+        common(p)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("pipeline", help="communities, boundary, and walker scores")
-    common(p)
+    seeded(p)
     p.add_argument("--q-threshold", type=_finite_float, default=DEFAULT_Q_THRESHOLD)
     _add_walk_flags(p)
     p.add_argument("--threads", type=int, default=1,
@@ -429,7 +429,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("communities", help="community labels CSV + JSON summary")
-    common(p)
+    seeded(p)
     p.add_argument("--q-threshold", type=_finite_float, default=DEFAULT_Q_THRESHOLD)
     p.set_defaults(func=cmd_communities)
 
@@ -465,12 +465,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("temporal", help="windowed boundary activity vs control")
-    common(p)
+    seeded(p)
     p.add_argument("--events", required=True, help="epoch_seconds,node_id CSV")
     p.add_argument("--window", type=_positive_int, default=60,
                    help="window size in seconds")
     p.add_argument("--q-threshold", type=_finite_float, default=DEFAULT_Q_THRESHOLD)
-    p.add_argument("--z-threshold", type=_finite_float, default=3.0)
+    p.add_argument("--z-threshold", type=_finite_float, default=DEFAULT_Z_THRESHOLD)
     p.set_defaults(func=cmd_temporal)
 
     return parser

@@ -234,13 +234,13 @@ def detect_communities(g: Graph, seed: int = 0) -> CommunityLabeling:
     )
 
 
-def community_mask(g: Graph, labeling: CommunityLabeling) -> Graph:
+def community_mask(g: Graph, labels: np.ndarray) -> Graph:
     """The walk graph: ``g`` without its cross-community edges, in ``g``'s node ids.
 
-    Its edges are the rows of ``g.edges`` whose endpoints share a label, in
+    ``labels`` holds one community label per node, as an int array. Its
+    edges are the rows of ``g.edges`` whose endpoints share a label, in
     ``g``'s order. A walk on it never leaves its start's community. Members
     whose links all cross community lines become isolated nodes.
     """
-    labels = labeling.labels
     keep = labels[g.edges[:, 0]] == labels[g.edges[:, 1]]
     return Graph(g.num_nodes, g.edges[keep], names=g.names)

@@ -112,8 +112,8 @@ def run_pipeline(
     """Full scoring run over a loaded graph; ``walk.seed`` seeds Louvain and the walks."""
     start = time.perf_counter()
     labeling, reports = detect_all_communities(g, seed=walk.seed, q_threshold=q_threshold)
-    bset = boundary_edges(g, labeling)
-    scores = bva(g, labeling, bset, walk)
+    bset = boundary_edges(g, labeling.labels)
+    scores = bva(g, labeling.labels, bset, walk)
     return PipelineResult(
         graph=g, labeling=labeling, components=reports, bset=bset,
         scores=scores, q_threshold=q_threshold,
@@ -193,31 +193,25 @@ def write_components_csv(g: Graph, stream: TextIO) -> None:
     write_node_table(g, stream, "node_id,component_id", connected_components(g).component_id)
 
 
-def write_communities_csv(
-    g: Graph,
-    labeling: CommunityLabeling,
-    stream: TextIO,
-    seed: int | None = None,
-    q_threshold: float | None = None,
-) -> None:
-    comment = None if seed is None else f"seed={seed} q_threshold={q_threshold}"
-    write_node_table(g, stream, "node_id,community_id", labeling.labels, comment=comment)
+def write_communities_csv(g: Graph, labels: np.ndarray, stream: TextIO, seed: int,
+                          q_threshold: float) -> None:
+    write_node_table(g, stream, "node_id,community_id", labels,
+                     comment=f"seed={seed} q_threshold={q_threshold}")
 
 
-def write_boundary_csv(g: Graph, labeling: CommunityLabeling, bset: BoundarySet,
+def write_boundary_csv(g: Graph, labels: np.ndarray, bset: BoundarySet,
                        stream: TextIO) -> None:
     u, v = bset.boundary_edges.T
-    labels = labeling.labels
     _write_csv(stream, "i,j,community_i,community_j", map(g.name_of, u.tolist()),
                map(g.name_of, v.tolist()), map(str, labels[u].tolist()),
                map(str, labels[v].tolist()))
 
 
-def write_boundary_nodes_csv(g: Graph, labeling: CommunityLabeling, bset: BoundarySet,
+def write_boundary_nodes_csv(g: Graph, labels: np.ndarray, bset: BoundarySet,
                              stream: TextIO) -> None:
     nodes = bset.boundary_nodes
     _write_csv(stream, "node_id,community_id", map(g.name_of, nodes.tolist()),
-               map(str, labeling.labels[nodes].tolist()))
+               map(str, labels[nodes].tolist()))
 
 
 def write_betweenness_csv(g: Graph, values: Sequence[float], stream: TextIO) -> None:

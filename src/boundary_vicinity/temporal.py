@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAD_SCALE = 1.4826  # normal-consistency factor for median absolute deviation
+DEFAULT_Z_THRESHOLD = 3.0
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,10 @@ def bin_events(
     )
 
 
-def sample_control_nodes(
-    boundary: Iterable[int], all_nodes: Iterable[int], seed: int = 0
-) -> set[int]:
-    """Uniform sample, matching the boundary set's size, from the non-boundary nodes."""
+def sample_control_nodes(boundary: Iterable[int], num_nodes: int, seed: int = 0) -> set[int]:
+    """Uniform sample, the boundary set's size, of the nodes below ``num_nodes`` outside it."""
     boundary_set = set(boundary)
-    population = sorted(set(all_nodes) - boundary_set)
+    population = [v for v in range(num_nodes) if v not in boundary_set]
     if len(boundary_set) > len(population):
         raise ValueError(
             f"the boundary set ({len(boundary_set)} nodes) outnumbers the "
@@ -106,7 +105,7 @@ def sample_control_nodes(
 def control_series(
     events: np.ndarray | Sequence[tuple[int, int]],
     boundary: Iterable[int],
-    all_nodes: Iterable[int],
+    num_nodes: int,
     window_seconds: int,
     seed: int = 0,
 ) -> EventSeries:
@@ -115,11 +114,12 @@ def control_series(
     The sample excludes boundary nodes so the comparison is sharp, and is
     deterministic given the seed.
     """
-    control = sample_control_nodes(boundary, all_nodes, seed)
+    control = sample_control_nodes(boundary, num_nodes, seed)
     return bin_events(events, window_seconds, node_filter=control)
 
 
-def detect_spikes(series: Sequence[float], z_threshold: float = 3.0) -> SpikeReport:
+def detect_spikes(series: Sequence[float],
+                  z_threshold: float = DEFAULT_Z_THRESHOLD) -> SpikeReport:
     """Flag windows deviating above the series baseline by robust z-score.
 
     The score is (x - median) / (1.4826 * MAD), which the spike itself

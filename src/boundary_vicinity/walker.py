@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .boundary import BoundarySet
-from .community import CommunityLabeling, community_mask
+from .community import community_mask
 from .graph import Graph
 
 # Philox4x64-10 multipliers and key increments (Salmon et al., SC'11), as in numpy
@@ -313,11 +313,11 @@ def scale_community_weights(
 
 def bva(
     g: Graph,
-    labeling: CommunityLabeling,
+    labels: np.ndarray,
     bset: BoundarySet,
     cfg: WalkConfig,
 ) -> VisitScores:
-    """Boundary vicinity scores for every node of ``g``.
+    """Boundary vicinity scores for every node of ``g``, from its community ``labels``.
 
     An unset ``cfg.stepnum`` resolves to ``default_step_count`` of the
     graph size (1 for a one-node graph); the resolved config comes back as
@@ -343,11 +343,10 @@ def bva(
     converged = np.zeros(len(origins), dtype=bool)
     batches = np.zeros(len(origins), dtype=np.int64)
     last_psrf = np.zeros(len(origins))
-    labels = labeling.labels
     origin_sizes = np.bincount(labels)[labels[origins]]
     # each origin's visited nodes and scaled mass, added in ascending origin order
     mass: list = [None] * len(origins)
-    for i, batch in _walk_rounds(community_mask(g, labeling), origins, cfg):
+    for i, batch in _walk_rounds(community_mask(g, labels), origins, cfg):
         walkers_used[i], converged[i] = batch.num_walks, batch.converged
         batches[i], last_psrf[i] = batch.batches, batch.psrf_value
         per_walker = batch.visits.sum(axis=0) / batch.num_walks

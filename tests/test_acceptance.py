@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from boundary_vicinity import (
-    CommunityLabeling,
     WalkBatch,
     WalkConfig,
     betweenness_brandes,
@@ -27,7 +26,6 @@ from boundary_vicinity import (
     detect_communities,
     detect_spikes,
     erdos_renyi,
-    modularity,
     preferential_attachment,
     psrf,
     random_walk,
@@ -64,13 +62,8 @@ def planted_experiment(kind: str, seed: int):
         ]
     planted = connect_communities(parts, k=26, seed=seed)
     g = planted.graph
-    labeling = CommunityLabeling(
-        labels=planted.planted_labels,
-        modularity=modularity(g, planted.planted_labels),
-        num_communities=3,
-    )
-    bset = boundary_edges(g, labeling)
-    scores = bva(g, labeling, bset, WalkConfig(seed=seed))
+    bset = boundary_edges(g, planted.planted_labels)
+    scores = bva(g, planted.planted_labels, bset, WalkConfig(seed=seed))
     return planted, scores, betweenness_brandes(g)
 
 
@@ -124,8 +117,8 @@ def test_criterion_3_karate_peak_property(karate):
     curves, sizes, qs = [], [], []
     for seed in range(8):
         labeling = detect_communities(karate, seed=seed)
-        bset = boundary_edges(karate, labeling)
-        scores = bva(karate, labeling, bset, WalkConfig(seed=seed))
+        bset = boundary_edges(karate, labeling.labels)
+        scores = bva(karate, labeling.labels, bset, WalkConfig(seed=seed))
         curves.append(rank_overlap(scores.raw, bw, ks).proportions)
         sizes.append(len(bset.boundary_nodes))
         qs.append(labeling.modularity)
@@ -196,24 +189,20 @@ def test_criterion_5_walker_correctness():
     parts = [connected_er(80, 0.08, 100 * i) for i in range(2)]
     planted = connect_communities(parts, k=8, seed=0)
     g = planted.graph
-    labeling = CommunityLabeling(
-        labels=planted.planted_labels,
-        modularity=modularity(g, planted.planted_labels),
-        num_communities=2,
-    )
-    bset = boundary_edges(g, labeling)
+    labels = planted.planted_labels
+    bset = boundary_edges(g, labels)
     steps_checked = 0
     violations = 0
     walk_rng = np.random.default_rng(7)
     stepnum = 20
-    mask = community_mask(g, labeling)
+    mask = community_mask(g, labels)
     while steps_checked < 1_000_000:
         for b in bset.boundary_nodes.tolist():
-            home = labeling.labels[b]
+            home = labels[b]
             path = random_walk(mask, b, stepnum, walk_rng)
             steps_checked += len(path) - 1
             for v in np.unique(path):
-                if labeling.labels[v] != home:
+                if labels[v] != home:
                     violations += 1
     ok = violations == 0
     report(5, ok,
@@ -267,9 +256,9 @@ def test_criterion_7_temporal_spike_reproduction():
     same_window = (13 in total_spikes.spike_windows
                    and 13 in boundary_spikes.spike_windows)
 
-    all_nodes = boundary | set(background)
-    control_a = control_series(events, boundary, all_nodes, 60, seed=5)
-    control_b = control_series(events, boundary, all_nodes, 60, seed=5)
+    num_nodes = len(boundary) + len(background)
+    control_a = control_series(events, boundary, num_nodes, 60, seed=5)
+    control_b = control_series(events, boundary, num_nodes, 60, seed=5)
     deterministic = (np.array_equal(control_a.actives, control_b.actives)
                      and np.array_equal(control_a.totals, control_b.totals))
     ok = same_window and deterministic

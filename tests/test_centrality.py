@@ -183,7 +183,7 @@ def test_bruteforce_guard_rail():
 
 def test_boundary_nodes_dominate_bridge_graph(two_triangles_bridged):
     labeling = detect_communities(two_triangles_bridged, seed=0)
-    bset = boundary_edges(two_triangles_bridged, labeling)
+    bset = boundary_edges(two_triangles_bridged, labeling.labels)
     values = betweenness_brandes(two_triangles_bridged)
     boundary = set(bset.boundary_nodes)
     assert boundary == {2, 3}

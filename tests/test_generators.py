@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from boundary_vicinity import (
-    CommunityLabeling,
     boundary_edges,
     build_graph,
     connect_communities,
@@ -116,10 +115,7 @@ def test_stitch_three_er_parts():
 def test_stitch_boundary_matches_planted_labels():
     parts = [erdos_renyi(60, 0.1, seed=s) for s in (1, 2, 3)]
     planted = connect_communities(parts, k=9, seed=4)
-    labeling = CommunityLabeling(
-        labels=planted.planted_labels, modularity=0.0, num_communities=3
-    )
-    bset = boundary_edges(planted.graph, labeling)
+    bset = boundary_edges(planted.graph, planted.planted_labels)
     assert len(bset.boundary_edges) == 9
     assert set(bset.boundary_nodes) == set(planted.planted_boundary)
     # every boundary node has at least one edge into a different part

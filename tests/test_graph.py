@@ -152,7 +152,7 @@ def adjacency_reference(g):
 
 def test_csr_matches_adjacency(karate):
     isolated = build_graph(5, [(0, 3), (3, 1), (1, 0)])  # nodes 2 and 4 have no edge
-    walk_graph = community_mask(karate, detect_communities(karate, seed=0))
+    walk_graph = community_mask(karate, detect_communities(karate, seed=0).labels)
     for g in (karate, isolated, walk_graph, build_graph(0, [])):
         adjacency = adjacency_reference(g)
         indptr, indices = g.csr

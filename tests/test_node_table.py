@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from boundary_vicinity import (
-    CommunityLabeling,
     WalkConfig,
     betweenness_brandes,
     boundary_edges,
@@ -65,11 +64,10 @@ def scores_reference(result) -> str:
     return out
 
 
-def communities_reference(g, labeling, seed=None, q_threshold=None) -> str:
-    out = "" if seed is None else f"# seed={seed} q_threshold={q_threshold}\n"
-    out += "node_id,community_id\n"
+def communities_reference(g, labels, seed, q_threshold) -> str:
+    out = f"# seed={seed} q_threshold={q_threshold}\nnode_id,community_id\n"
     for v in range(g.num_nodes):
-        out += f"{g.name_of(v)},{labeling.labels[v]}\n"
+        out += f"{g.name_of(v)},{labels[v]}\n"
     return out
 
 
@@ -128,11 +126,9 @@ def test_scores_csv_matches_per_row_loop(graph):
 
 
 def test_communities_csv_matches_per_row_loop(graph):
-    labeling = run_pipeline(graph, WalkConfig(seed=1), q_threshold=0.2).labeling
-    assert written(write_communities_csv, graph, labeling) == \
-        communities_reference(graph, labeling)
-    assert written(write_communities_csv, graph, labeling, seed=4, q_threshold=0.25) == \
-        communities_reference(graph, labeling, seed=4, q_threshold=0.25)
+    labels = run_pipeline(graph, WalkConfig(seed=1), q_threshold=0.2).labeling.labels
+    assert written(write_communities_csv, graph, labels, seed=4, q_threshold=0.25) == \
+        communities_reference(graph, labels, seed=4, q_threshold=0.25)
 
 
 def test_components_csv_matches_per_row_loop(graph):
@@ -167,12 +163,12 @@ def test_boundary_csvs_match_per_row_loops(graph):
     detected = run_pipeline(graph, WalkConfig(seed=1), q_threshold=0.2).labeling.labels
     for labels in (detected.tolist(),
                    [(7 * v) % 12 for v in range(n)]):  # many crossings, two-digit labels
-        labeling = CommunityLabeling(labels, modularity=0.0, num_communities=max(labels) + 1)
-        bset = boundary_edges(graph, labeling)
+        array = np.array(labels)
+        bset = boundary_edges(graph, array)
         expected = boundary_reference(graph, labels)
         assert expected.count("\n") > 1  # at least one crossing edge
-        assert written(write_boundary_csv, graph, labeling, bset) == expected
-        assert written(write_boundary_nodes_csv, graph, labeling, bset) == \
+        assert written(write_boundary_csv, graph, array, bset) == expected
+        assert written(write_boundary_nodes_csv, graph, array, bset) == \
             boundary_nodes_reference(graph, labels)
 
 
@@ -181,7 +177,7 @@ def test_manifest_per_origin_maps_match_dict_reference(graph):
     cfg = WalkConfig(walknum=6, stepnum=3, seed=1, max_batches=3, psrf_low=0.97,
                      psrf_high=1.03)
     result = run_pipeline(graph, cfg, q_threshold=0.2)
-    mask = community_mask(graph, result.labeling)
+    mask = community_mask(graph, result.labeling.labels)
     keys = ("walkers_used", "converged", "batches", "psrf")
     expected = {key: {} for key in keys}
     for v in sorted({w for e in result.bset.boundary_edges.tolist() for w in e}):

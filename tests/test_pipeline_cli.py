@@ -439,6 +439,9 @@ def test_usage_error_exit_code(tmp_path):
     for value in ("nan", "inf", "-inf", "x"):
         assert main(events + ["--z-threshold", value]) == 1, value
     assert main(["betweenness", "--input", "unused.edges", "--oracle"]) == 1
+    # only pipeline, communities, temporal and generate take a seed
+    for command in (["components"], ["betweenness"], ["boundary", "--labels", "unused.csv"]):
+        assert main(command + ["--input", "unused.edges", "--seed", "1"]) == 1, command[0]
     # a generator flag error exits 1 before anything is written
     out = tmp_path / "generated"
     for flags in (["er", "--n", "0"], ["er", "--n", "x"], ["pa", "--m", "0"],

@@ -116,39 +116,39 @@ def test_bin_rejects_empty_stream():
 
 
 def test_control_excludes_boundary_and_matches_size():
-    control = sample_control_nodes({0, 1, 2, 3, 4}, set(range(100)), seed=1)
+    control = sample_control_nodes({0, 1, 2, 3, 4}, 100, seed=1)
     assert len(control) == 5
     assert control.isdisjoint({0, 1, 2, 3, 4})
 
 
 def test_control_deterministic():
-    a = sample_control_nodes({1, 2}, set(range(50)), seed=9)
-    b = sample_control_nodes({1, 2}, set(range(50)), seed=9)
+    a = sample_control_nodes({1, 2}, 50, seed=9)
+    b = sample_control_nodes({1, 2}, 50, seed=9)
     assert a == b
     events = [(t, t % 50) for t in range(200)]
-    s1 = control_series(events, {1, 2}, set(range(50)), 60, seed=9)
-    s2 = control_series(events, {1, 2}, set(range(50)), 60, seed=9)
+    s1 = control_series(events, {1, 2}, 50, 60, seed=9)
+    s2 = control_series(events, {1, 2}, 50, 60, seed=9)
     assert np.array_equal(s1.actives, s2.actives)
     assert np.array_equal(s1.totals, s2.totals)
 
 
 def test_control_seed_reduced_mod_2_64():
-    boundary, nodes = {3, 8, 20}, set(range(40))
-    population = sorted(nodes - boundary)
+    boundary, num_nodes = {3, 8, 20}, 40
+    population = sorted(set(range(num_nodes)) - boundary)
     for seed in (0, 9, 2**64 - 1):  # drawn by numpy's generator for that seed, as before
         picks = np.random.default_rng(seed).choice(len(population), size=3, replace=False)
-        assert sample_control_nodes(boundary, nodes, seed=seed) == \
+        assert sample_control_nodes(boundary, num_nodes, seed=seed) == \
             {population[int(i)] for i in picks}
     for seed in (-1, 2**64 + 9):
-        assert sample_control_nodes(boundary, nodes, seed=seed) == \
-            sample_control_nodes(boundary, nodes, seed=seed % 2**64)
+        assert sample_control_nodes(boundary, num_nodes, seed=seed) == \
+            sample_control_nodes(boundary, num_nodes, seed=seed % 2**64)
 
 
 def test_control_boundary_equals_population_errors():
     with pytest.raises(ValueError):
-        sample_control_nodes({0, 1}, {0, 1}, seed=0)
+        sample_control_nodes({0, 1}, 2, seed=0)
     with pytest.raises(ValueError, match=r"boundary set \(3 nodes\) outnumbers the 2 other"):
-        sample_control_nodes({0, 1, 2}, set(range(5)), seed=0)
+        sample_control_nodes({0, 1, 2}, 5, seed=0)
 
 
 def test_spikes_constant_series_none():
@@ -198,7 +198,6 @@ def test_boundary_spike_found_in_boundary_and_total_series():
     """A window dominated by boundary-node chatter spikes in both series."""
     boundary = set(range(10))
     background = set(range(10, 30))
-    others = set(range(10, 100))
     events = []
     # steady background: every background node tweets once per window
     for w in range(10):
@@ -215,6 +214,6 @@ def test_boundary_spike_found_in_boundary_and_total_series():
     assert total_report.spike_windows == (6,)
     assert boundary_report.spike_windows == (6,)
     # control nodes were never co-activated, so their series stays flat
-    control = control_series(events, boundary, boundary | others, 60, seed=3)
+    control = control_series(events, boundary, 100, 60, seed=3)
     control_report = detect_spikes(control.actives)
     assert 6 not in control_report.spike_windows

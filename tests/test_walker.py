@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from boundary_vicinity import (
-    CommunityLabeling,
     WalkBatch,
     WalkConfig,
     boundary_edges,
@@ -21,7 +20,6 @@ from boundary_vicinity import (
     default_step_count,
     detect_communities,
     erdos_renyi,
-    modularity,
     preferential_attachment,
     psrf,
     random_walk,
@@ -263,9 +261,8 @@ def graph_with_isolated_origin():
         [erdos_renyi(30, 0.2, seed=20 + i) for i in range(2)], k=4, seed=2
     )
     g = build_graph(61, planted.graph.edges.tolist() + [(0, 60)])
-    labels = tuple(planted.planted_labels) + (2,)
-    labeling = CommunityLabeling(labels, modularity(g, labels), 3)
-    return g, labeling, boundary_edges(g, labeling)
+    labels = np.append(planted.planted_labels, 2)
+    return g, labels, boundary_edges(g, labels)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -274,8 +271,8 @@ def graph_with_isolated_origin():
     WalkConfig(walknum=6, stepnum=4, seed=0, **UNCONVERGED),
 ])
 def test_converged_walks_match_walk_at_a_time_definition(cfg):
-    g, labeling, bset = graph_with_isolated_origin()
-    mask = community_mask(g, labeling)
+    g, labels, bset = graph_with_isolated_origin()
+    mask = community_mask(g, labels)
     assert 60 in bset.boundary_nodes
     for start in bset.boundary_nodes.tolist():
         batch = run_converged_walks(mask, start, cfg)
@@ -292,21 +289,21 @@ def test_converged_walks_match_walk_at_a_time_definition(cfg):
 ])
 def test_bva_rounds_do_not_couple_origins(cfg):
     """bva walks all origins in rounds; each must get what it gets alone."""
-    g, labeling, bset = graph_with_isolated_origin()
-    mask = community_mask(g, labeling)
-    sizes = np.bincount(labeling.labels)
+    g, labels, bset = graph_with_isolated_origin()
+    mask = community_mask(g, labels)
+    sizes = np.bincount(labels)
     raw = np.zeros(g.num_nodes)
     walkers_used, converged, batches, last_psrf = [], [], [], []
     for node in bset.boundary_nodes.tolist():  # ascending, as bva adds them
         batch = run_converged_walks(mask, node, cfg)
         per_walker = batch.visits.sum(axis=0) / batch.num_walks
-        size = int(sizes[labeling.labels[node]])
+        size = int(sizes[labels[node]])
         raw[batch.nodes] += scale_community_weights(per_walker, size, g.num_nodes)
         walkers_used.append(batch.num_walks)
         converged.append(batch.converged)
         batches.append(batch.batches)
         last_psrf.append(batch.psrf_value)
-    scores = bva(g, labeling, bset, cfg)
+    scores = bva(g, labels, bset, cfg)
     assert np.array_equal(scores.raw, raw)
     assert scores.walkers_used.tolist() == walkers_used
     assert scores.converged.tolist() == converged
@@ -365,9 +362,9 @@ def test_config_validation():
 
 
 def test_bva_bridge_graph_ranks_boundary_first(two_triangles_bridged):
-    labeling = detect_communities(two_triangles_bridged, seed=0)
-    bset = boundary_edges(two_triangles_bridged, labeling)
-    scores = bva(two_triangles_bridged, labeling, bset, WalkConfig(seed=3))
+    labels = detect_communities(two_triangles_bridged, seed=0).labels
+    bset = boundary_edges(two_triangles_bridged, labels)
+    scores = bva(two_triangles_bridged, labels, bset, WalkConfig(seed=3))
     order = np.argsort(-scores.raw)
     assert set(order[:2].tolist()) == {2, 3}
     assert scores.normalized.max() == 1.0
@@ -375,10 +372,10 @@ def test_bva_bridge_graph_ranks_boundary_first(two_triangles_bridged):
 
 
 def test_bva_empty_boundary_all_zero(two_triangles_disjoint):
-    labeling = detect_communities(two_triangles_disjoint, seed=0)
-    bset = boundary_edges(two_triangles_disjoint, labeling)
+    labels = detect_communities(two_triangles_disjoint, seed=0).labels
+    bset = boundary_edges(two_triangles_disjoint, labels)
     assert len(bset.boundary_nodes) == 0
-    scores = bva(two_triangles_disjoint, labeling, bset, WalkConfig(seed=0))
+    scores = bva(two_triangles_disjoint, labels, bset, WalkConfig(seed=0))
     assert np.all(scores.raw == 0.0)
     assert np.all(scores.normalized == 0.0)
     assert scores.warning is not None
@@ -389,11 +386,11 @@ def test_bva_deterministic():
         [erdos_renyi(40, 0.15, seed=i) for i in range(3)], k=6, seed=0
     )
     g = planted.graph
-    labeling = detect_communities(g, seed=1)
-    bset = boundary_edges(g, labeling)
+    labels = detect_communities(g, seed=1).labels
+    bset = boundary_edges(g, labels)
     cfg = WalkConfig(seed=42)
-    first = bva(g, labeling, bset, cfg)
-    second = bva(g, labeling, bset, cfg)
+    first = bva(g, labels, bset, cfg)
+    second = bva(g, labels, bset, cfg)
     assert np.array_equal(first.raw, second.raw)
     assert np.array_equal(first.walkers_used, second.walkers_used)
     assert np.array_equal(first.converged, second.converged)
@@ -407,33 +404,25 @@ def test_bva_confinement():
         [erdos_renyi(30, 0.2, seed=10 + i) for i in range(2)], k=4, seed=1
     )
     g = planted.graph
-    from boundary_vicinity import CommunityLabeling, modularity
-
-    labeling = CommunityLabeling(
-        labels=planted.planted_labels,
-        modularity=modularity(g, planted.planted_labels),
-        num_communities=2,
-    )
-    bset = boundary_edges(g, labeling)
-    scores = bva(g, labeling, bset, WalkConfig(seed=0))
-    walked_communities = set(labeling.labels[bset.boundary_nodes].tolist())
+    labels = planted.planted_labels
+    bset = boundary_edges(g, labels)
+    scores = bva(g, labels, bset, WalkConfig(seed=0))
+    walked_communities = set(labels[bset.boundary_nodes].tolist())
     for v in range(g.num_nodes):
-        if labeling.labels[v] not in walked_communities:
+        if labels[v] not in walked_communities:
             assert scores.raw[v] == 0.0
 
 
 def test_bva_walker_count_invariance():
     g = erdos_renyi(100, 0.1, seed=5)
-    from boundary_vicinity import CommunityLabeling
-
-    labeling = CommunityLabeling(labels=(0,) * 100, modularity=0.0, num_communities=1)
+    labels = np.zeros(100, dtype=np.int64)
     # single community: pick a node as a synthetic boundary origin
     from boundary_vicinity import BoundarySet
 
     bset = BoundarySet(boundary_edges=np.empty((0, 2), dtype=np.int64),
                        boundary_nodes=np.array([0]))
-    base = bva(g, labeling, bset, WalkConfig(walknum=1000, stepnum=4, seed=9))
-    doubled = bva(g, labeling, bset, WalkConfig(walknum=2000, stepnum=4, seed=9))
+    base = bva(g, labels, bset, WalkConfig(walknum=1000, stepnum=4, seed=9))
+    doubled = bva(g, labels, bset, WalkConfig(walknum=2000, stepnum=4, seed=9))
     assert base.converged[0] and doubled.converged[0]
     drift = np.linalg.norm(base.raw - doubled.raw) / np.linalg.norm(base.raw)
     assert drift < 0.05
@@ -442,20 +431,16 @@ def test_bva_walker_count_invariance():
 def test_bva_scores_match_enumeration_oracle(two_triangles_bridged):
     """Expected scores from the enumeration oracle, scaled like the engine."""
     g = two_triangles_bridged
-    from boundary_vicinity import CommunityLabeling, community_mask
-
-    labeling = CommunityLabeling(
-        labels=(0, 0, 0, 1, 1, 1), modularity=0.357, num_communities=2
-    )
-    bset = boundary_edges(g, labeling)
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    bset = boundary_edges(g, labels)
     stepnum = 2
-    mask = community_mask(g, labeling)
+    mask = community_mask(g, labels)
     oracle = np.zeros(6)
     for b in bset.boundary_nodes.tolist():
         expected, _ = enumerate_visit_moments(mask, b, stepnum)
-        size = np.count_nonzero(labeling.labels == labeling.labels[b])
+        size = np.count_nonzero(labels == labels[b])
         oracle += expected * size / g.num_nodes
-    scores = bva(g, labeling, bset, WalkConfig(walknum=4000, stepnum=stepnum, seed=1))
+    scores = bva(g, labels, bset, WalkConfig(walknum=4000, stepnum=stepnum, seed=1))
     assert np.allclose(scores.raw, oracle, atol=0.02)
     assert set(np.argsort(-oracle)[:2]) == {2, 3}
 
@@ -475,16 +460,11 @@ def test_bva_matches_exact_expectation_at_scale():
     parts = [preferential_attachment(1000, 3, seed=i) for i in range(3)]
     planted = connect_communities(parts, k=40, seed=0)
     g = planted.graph
-    labeling = CommunityLabeling(
-        labels=planted.planted_labels,
-        modularity=modularity(g, planted.planted_labels),
-        num_communities=3,
-    )
-    bset = boundary_edges(g, labeling)
-    scores = bva(g, labeling, bset, WalkConfig(walknum=400, seed=0))
+    labels = planted.planted_labels
+    bset = boundary_edges(g, labels)
+    scores = bva(g, labels, bset, WalkConfig(walknum=400, seed=0))
     n, stepnum = g.num_nodes, scores.walk.stepnum
 
-    labels = np.array(labeling.labels)
     edges = np.array(g.edges)
     inside = edges[labels[edges[:, 0]] == labels[edges[:, 1]]]
     src = np.concatenate([inside[:, 0], inside[:, 1]])
@@ -525,17 +505,12 @@ def test_bva_matches_exact_expectation_at_1e5_nodes():
     parts = [preferential_attachment(30000, 3, seed=i) for i in range(3)]
     planted = connect_communities(parts, k=200, seed=0)
     g = planted.graph
-    labeling = CommunityLabeling(
-        labels=planted.planted_labels,
-        modularity=modularity(g, planted.planted_labels),
-        num_communities=3,
-    )
-    bset = boundary_edges(g, labeling)
-    scores = bva(g, labeling, bset, WalkConfig(walknum=400, seed=0))
+    labels = planted.planted_labels
+    bset = boundary_edges(g, labels)
+    scores = bva(g, labels, bset, WalkConfig(walknum=400, seed=0))
     n, stepnum = g.num_nodes, scores.walk.stepnum
     assert n == 90_000
 
-    labels = np.array(labeling.labels)
     inside = g.edges[labels[g.edges[:, 0]] == labels[g.edges[:, 1]]]
     src = np.concatenate([inside[:, 0], inside[:, 1]])
     dst = np.concatenate([inside[:, 1], inside[:, 0]])
