@@ -45,6 +45,15 @@ UNCONVERGED = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_args(self, args=None, namespace=None):
+        # argparse reports a subcommand's leftover arguments with the top-level usage
+        parsed, extra = self.parse_known_args(args, namespace)
+        if extra:
+            commands = next(a for a in self._actions if a.dest == "command")
+            commands.choices[parsed.command].error(
+                f"unrecognized arguments: {' '.join(extra)}")
+        return parsed
+
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")

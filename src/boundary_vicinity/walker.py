@@ -5,28 +5,21 @@ never leave the node's own community (edges crossing community lines are
 absent from the walk graph). Batches accumulate until the per-node visit
 counts pass a Gelman-Rubin style convergence window, then the counts are
 normalized per walker, scaled by relative community size, and merged into a
-single score vector over the whole graph. The engine runs in rounds: round k
-draws batch k of every origin still running, all walks at once.
+single score vector over the whole graph. Each origin draws from its own
+Philox stream, so origins are independent units of work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .boundary import BoundarySet
 from .community import community_mask
 from .graph import Graph
-
-# Philox4x64-10 multipliers and key increments (Salmon et al., SC'11), as in numpy
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -39,7 +32,7 @@ class WalkConfig:
     ``default_step_count`` when the run starts. The run is declared
     converged once the diagnostic lands inside [psrf_low, psrf_high],
     giving up (flagged, never silent) after ``max_batches`` batches.
-    ``seed`` keys the walks' RNG substreams and, in ``run_pipeline``, Louvain.
+    ``seed`` keys each origin's walk stream and, in ``run_pipeline``, Louvain.
     """
 
     walknum: int = 50
@@ -127,7 +120,7 @@ def random_walk(
     Only a start with no neighbors in the walk graph ends the walk early: a
     step along an undirected edge lands on a node that has at least the
     neighbor it came from. So the path holds either 1 or stepnum + 1 nodes. This is the
-    one-walk definition that the round engine reproduces.
+    one-walk definition that ``run_converged_walks`` steps a batch at a time.
     """
     if not (0 <= start < mask.num_nodes):
         raise ValueError(f"start node {start} not in walk graph")
@@ -167,48 +160,6 @@ def psrf(batch: WalkBatch) -> float:
     return float(np.sqrt(pooled / within[active]).max())
 
 
-def _walk_uniforms(
-    seed: int, origins: np.ndarray, walks: np.ndarray, stepnum: int
-) -> np.ndarray:
-    """Each walk's first ``stepnum`` draws of ``random()``, for many walks at once.
-
-    One row per (origin, walk) pair. Walk w of ``origin`` draws what
-    ``np.random.Generator(np.random.Philox(key=k))`` draws, with the key
-    k = [seed mod 2^64, (origin mod 2^32) << 32 | (w mod 2^32)]. This is
-    numpy's Philox4x64-10 written out over arrays: the walk's j-th
-    block of four words enciphers the counter j (from 1), and a word x
-    gives the double (x >> 11) * 2^-53. The 64-bit products are taken from
-    32-bit halves, so no intermediate overflows.
-    """
-    keyed = ((np.asarray(origins).astype(np.uint64) & _LOW32) << _SHIFT32) | (
-        np.asarray(walks).astype(np.uint64) & _LOW32
-    )
-    blocks = -(-stepnum // 4)
-    key = np.repeat(keyed, blocks)
-    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(keyed))
-    c1 = c2 = c3 = np.zeros_like(c0)
-    for r in range(_PHILOX_ROUNDS):
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) % (1 << 64))
-        k1 = key + np.uint64(r * _PHILOX_W[1] % (1 << 64))
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=1).reshape(len(keyed), 4 * blocks)
-    return (words[:, :stepnum] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * b."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
-    low_low = a_lo * b_lo
-    high_low = a_hi * b_lo
-    low_high = a_lo * b_hi
-    carry = ((low_low >> _SHIFT32) + (high_low & _LOW32) + (low_high & _LOW32)) >> _SHIFT32
-    high = a_hi * b_hi + (high_low >> _SHIFT32) + (low_high >> _SHIFT32) + carry
-    return high, np.uint64(a) * b
-
-
 def _walk_paths(
     indptr: np.ndarray, indices: np.ndarray, starts: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
@@ -236,64 +187,37 @@ def _visit_counts(paths: np.ndarray) -> WalkBatch:
     return WalkBatch(visits.reshape(len(paths), len(nodes)), nodes)
 
 
-def _walk_rounds(
-    mask: Graph, starts: Sequence[int], cfg: WalkConfig
-) -> Iterator[tuple[int, WalkBatch]]:
-    """Converged walk batches from every start, in rounds.
-
-    Round k draws batch k (walks (k-1)·walknum to k·walknum - 1) of every
-    start still running, all in one call. Then each of those starts counts
-    visits over all its walks so far and runs the diagnostic on them, split
-    into two arrival-order chains (see ``psrf``). A start stops once the value falls inside the convergence
-    window, or after ``cfg.max_batches`` batches with ``converged=False``;
-    the engine then yields (its position in ``starts``, its batch). Walk w
-    of start s draws from the Philox stream keyed
-    [cfg.seed mod 2^64, s << 32 | w] (see ``_walk_uniforms``), so a start's
-    batch does not depend on the other starts.
-    """
-    if cfg.stepnum is None:
-        raise ValueError("stepnum unresolved; set WalkConfig.stepnum")
-    indptr, indices = mask.csr
-    degree = np.diff(indptr)
-    starts = np.asarray(starts, dtype=np.int64)
-    outside = starts[(starts < 0) | (starts >= mask.num_nodes)]
-    if len(outside):
-        raise ValueError(f"start node {outside[0]} not in walk graph")
-    # an isolated start's walks are [start]; every other walk takes all steps
-    width = np.where(degree[starts] > 0, cfg.stepnum + 1, 1)
-    paths = [np.empty((0, w), dtype=np.int64) for w in width]
-    active = np.arange(len(starts))
-    for batches in range(1, cfg.max_batches + 1):
-        origin = np.repeat(starts[active], cfg.walknum)
-        walk = np.tile(np.arange((batches - 1) * cfg.walknum, batches * cfg.walknum),
-                       len(active))
-        steps = np.repeat(origin[:, None], cfg.stepnum + 1, axis=1)
-        moving = degree[origin] > 0
-        uniforms = _walk_uniforms(cfg.seed, origin[moving], walk[moving], cfg.stepnum)
-        steps[moving] = _walk_paths(indptr, indices, origin[moving], uniforms)
-        running = []
-        for j, i in enumerate(active.tolist()):
-            block = steps[j * cfg.walknum:(j + 1) * cfg.walknum, :width[i]]
-            paths[i] = np.concatenate([paths[i], block])
-            batch = _visit_counts(paths[i])
-            value = psrf(batch)
-            converged = cfg.psrf_low <= value <= cfg.psrf_high
-            if converged or batches == cfg.max_batches:
-                yield i, replace(batch, converged=converged, psrf_value=value,
-                                 batches=batches)
-            else:
-                running.append(i)
-        if not running:
-            return
-        active = np.array(running)
-
-
 def run_converged_walks(mask: Graph, start: int, cfg: WalkConfig) -> WalkBatch:
     """Accumulate walk batches from ``start`` until the diagnostic settles.
 
-    The round engine run for one start; see ``_walk_rounds``.
+    The walks draw from one Philox stream keyed [cfg.seed mod 2^64, start]:
+    batch b is ``rng.random((walknum, stepnum))``, one row per walk, so walk
+    w takes draws w·stepnum to (w+1)·stepnum - 1 and depends only on the
+    seed, the start, w and stepnum. After each batch the visits are counted
+    over all walks so far and the diagnostic runs on them, split into two
+    arrival-order chains (see ``psrf``). The run stops once the value falls
+    inside the convergence window, or after ``cfg.max_batches`` batches with
+    ``converged=False``. An isolated start's walks are [start] and draw nothing.
     """
-    return next(_walk_rounds(mask, [start], cfg))[1]
+    if cfg.stepnum is None:
+        raise ValueError("stepnum unresolved; set WalkConfig.stepnum")
+    if not (0 <= start < mask.num_nodes):
+        raise ValueError(f"start node {start} not in walk graph")
+    indptr, indices = mask.csr
+    # a uint64 key: a list key goes through float64 for seeds of 2^63 and above
+    key = np.array([cfg.seed % 2**64, start], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    starts = np.full(cfg.walknum, start, dtype=np.int64)
+    moving = indptr[start + 1] > indptr[start]
+    blocks = []
+    for batches in range(1, cfg.max_batches + 1):
+        blocks.append(_walk_paths(indptr, indices, starts, rng.random((cfg.walknum, cfg.stepnum)))
+                      if moving else starts[:, None])
+        batch = _visit_counts(np.concatenate(blocks))
+        value = psrf(batch)
+        converged = cfg.psrf_low <= value <= cfg.psrf_high
+        if converged or batches == cfg.max_batches:
+            return replace(batch, converged=converged, psrf_value=value, batches=batches)
 
 
 def scale_community_weights(
@@ -330,10 +254,8 @@ def bva(
     graph-wide score vector. ``normalized`` then divides by the maximum.
     With no boundary node every score is 0 and ``warning`` says why.
 
-    All origins walk together in rounds (``_walk_rounds``), and each walk
-    draws from its own RNG substream keyed by (seed, origin, walk index),
-    so an origin's result does not depend on the others or on when it
-    settles.
+    Each origin runs ``run_converged_walks`` on its own Philox stream, keyed
+    by (seed, origin), so its result does not depend on the other origins.
     """
     if cfg.stepnum is None:
         stepnum = default_step_count(g.num_nodes) if g.num_nodes >= 2 else 1
@@ -344,17 +266,15 @@ def bva(
     batches = np.zeros(len(origins), dtype=np.int64)
     last_psrf = np.zeros(len(origins))
     origin_sizes = np.bincount(labels)[labels[origins]]
-    # each origin's visited nodes and scaled mass, added in ascending origin order
-    mass: list = [None] * len(origins)
-    for i, batch in _walk_rounds(community_mask(g, labels), origins, cfg):
+    mask = community_mask(g, labels)
+    raw = np.zeros(g.num_nodes)
+    for i, origin in enumerate(origins.tolist()):
+        batch = run_converged_walks(mask, origin, cfg)
         walkers_used[i], converged[i] = batch.num_walks, batch.converged
         batches[i], last_psrf[i] = batch.batches, batch.psrf_value
         per_walker = batch.visits.sum(axis=0) / batch.num_walks
-        mass[i] = (batch.nodes,
-                   scale_community_weights(per_walker, int(origin_sizes[i]), g.num_nodes))
-    raw = np.zeros(g.num_nodes)
-    for nodes, scaled in mass:
-        raw[nodes] += scaled
+        raw[batch.nodes] += scale_community_weights(
+            per_walker, int(origin_sizes[i]), g.num_nodes)
     peak = raw.max(initial=0.0)
     normalized = raw / peak if peak > 0 else raw.copy()
     for per_origin in (walkers_used, converged, batches, last_psrf):

@@ -3,8 +3,8 @@
 Each one is written for clarity, one node or one walk at a time, and
 shares no code with the routine it checks: brute-force betweenness for
 ``centrality.betweenness_brandes``, the per-k top-k set for
-``centrality.rank_overlap``, and one numpy ``Philox`` generator per walk
-for the walker's array Philox.
+``centrality.rank_overlap``, and the walker's one numpy ``Philox``
+generator per origin, from which the tests draw one walk at a time.
 """
 
 from __future__ import annotations
@@ -80,14 +80,12 @@ def top_k_nodes(scores: Sequence[float], k: int) -> list[int]:
     return [int(v) for v in order[:k]]
 
 
-def _walk_rng(seed: int, origin: int, walk_index: int) -> np.random.Generator:
-    """Counter-keyed generator: one independent stream per individual walk.
+def _walk_rng(seed: int, origin: int) -> np.random.Generator:
+    """Counter-keyed generator: one independent stream per origin.
 
-    Scheduling cannot perturb results because a walk's randomness depends
-    only on (seed, origin, walk index), never on execution order.
+    An origin's walks depend only on (seed, origin) and the order they draw
+    in, never on the other origins. The key is a uint64 array, so seeds of
+    2^63 and above keep every bit.
     """
-    key = np.array(
-        [seed % (1 << 64), ((origin & 0xFFFFFFFF) << 32) | (walk_index & 0xFFFFFFFF)],
-        dtype=np.uint64,
-    )
+    key = np.array([seed % (1 << 64), origin], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -26,7 +26,7 @@ from boundary_vicinity import (
     run_converged_walks,
     scale_community_weights,
 )
-from boundary_vicinity.walker import _walk_uniforms
+from boundary_vicinity import walker
 from conftest import neighbors as graph_neighbors
 from reference import _walk_rng
 
@@ -120,21 +120,6 @@ def test_walk_sampled_mean_matches_enumeration():
     assert np.all(np.abs(mean - expected) <= band + 1e-12)
 
 
-@pytest.mark.parametrize("stepnum", [1, 4, 5, 9])
-@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
-def test_walk_uniforms_match_per_walk_generators(seed, stepnum):
-    origins = np.array([0, 3, 2**32 + 9, 2**40 + 2**32 + 1, 6000])
-    walks = np.arange(100, 300)  # mid-stream walk ids, as in later batches
-    origin = np.repeat(origins, len(walks))
-    walk = np.tile(walks, len(origins))
-    drawn = _walk_uniforms(seed, origin, walk, stepnum)
-    expected = np.array([
-        _walk_rng(seed, o, w).random(stepnum) for o, w in zip(origin.tolist(), walk.tolist())
-    ])
-    assert drawn.shape == (len(origin), stepnum)
-    assert np.array_equal(drawn, expected)  # bit for bit, not within a tolerance
-
-
 # --- convergence diagnostic ---
 
 
@@ -197,10 +182,8 @@ def test_walk_batch_columns_are_the_visited_nodes():
     g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)])
     cfg = WalkConfig(walknum=8, stepnum=2, seed=11)
     batch = run_converged_walks(g, 0, cfg)
-    paths = [
-        random_walk(g, 0, cfg.stepnum, _walk_rng(cfg.seed, 0, w))
-        for w in range(batch.num_walks)
-    ]
+    rng = _walk_rng(cfg.seed, 0)
+    paths = [random_walk(g, 0, cfg.stepnum, rng) for _ in range(batch.num_walks)]
     dense = np.array([np.bincount(p, minlength=g.num_nodes) for p in paths])
     assert np.all(np.diff(batch.nodes) > 0)
     assert np.all(batch.visits.sum(axis=0) > 0)
@@ -233,11 +216,12 @@ def test_converged_walks_unconverged_is_flagged():
 
 
 def loop_converged_walks(mask, start, cfg):
-    """The walk-at-a-time definition: one generator and one random_walk per walk."""
+    """The walk-at-a-time definition: one random_walk per walk, each in turn
+    from the origin's one generator."""
+    rng = _walk_rng(cfg.seed, start)
     paths = []
     for batches in range(1, cfg.max_batches + 1):
         for _ in range(cfg.walknum):
-            rng = _walk_rng(cfg.seed, start, len(paths))
             paths.append(random_walk(mask, start, cfg.stepnum, rng))
         nodes = np.unique(np.concatenate(paths))
         visits = np.array([np.bincount(p, minlength=mask.num_nodes)[nodes] for p in paths])
@@ -288,7 +272,7 @@ def test_converged_walks_match_walk_at_a_time_definition(cfg):
     WalkConfig(walknum=5, stepnum=3, seed=4, **UNCONVERGED),
 ])
 def test_bva_rounds_do_not_couple_origins(cfg):
-    """bva walks all origins in rounds; each must get what it gets alone."""
+    """bva walks each origin on its own stream; each must get what it gets alone."""
     g, labels, bset = graph_with_isolated_origin()
     mask = community_mask(g, labels)
     sizes = np.bincount(labels)
@@ -311,7 +295,35 @@ def test_bva_rounds_do_not_couple_origins(cfg):
     assert scores.psrf.tolist() == last_psrf
     isolated = bset.boundary_nodes.tolist().index(60)
     assert scores.batches[isolated] == 1 and scores.converged[isolated]
-    assert len(set(batches)) > 1  # origins leave the rounds at different batches
+    assert len(set(batches)) > 1  # origins stop at different batches
+
+
+def test_bva_runs_the_engine_once_per_boundary_node(monkeypatch):
+    """bva calls the module's run_converged_walks for each origin, in ascending order."""
+    g, labels, bset = graph_with_isolated_origin()
+    engine = walker.run_converged_walks
+    starts = []
+
+    def recording(mask, start, cfg):
+        starts.append(start)
+        return engine(mask, start, cfg)
+
+    monkeypatch.setattr(walker, "run_converged_walks", recording)
+    bva(g, labels, bset, WalkConfig(walknum=5, stepnum=3, seed=4))
+    assert starts == bset.boundary_nodes.tolist()
+
+
+def test_bva_seeds_keep_every_bit():
+    """Seeds that differ only in the lowest bit near 2^64 give different walks;
+    a negative seed is taken mod 2^64."""
+    g, labels, bset = graph_with_isolated_origin()
+
+    def raw(seed):
+        return bva(g, labels, bset, WalkConfig(walknum=5, stepnum=3, seed=seed)).raw
+
+    top = raw(2**64 - 1)
+    assert not np.array_equal(top, raw(2**64 - 2))
+    assert np.array_equal(top, raw(-1))
 
 
 def test_converged_walks_requires_concrete_stepnum():
