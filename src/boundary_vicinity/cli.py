@@ -10,8 +10,9 @@ import argparse
 import json
 import math
 import sys
+from array import array
+from contextlib import contextmanager
 from dataclasses import fields
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,10 @@ from .boundary import boundary_edges
 from .centrality import betweenness_brandes, rank_overlap
 from .community import DEFAULT_Q_THRESHOLD
 from .generators import connect_communities, erdos_renyi, preferential_attachment
-from .graph import Graph, load_edge_list, write_edge_list
+from .graph import Graph, data_lines, load_edge_list, write_edge_list
 from .pipeline import (
     build_manifest,
+    build_scores_json,
     detect_all_communities,
     run_pipeline,
     write_betweenness_csv,
@@ -31,10 +33,10 @@ from .pipeline import (
     write_boundary_nodes_csv,
     write_communities_csv,
     write_components_csv,
+    write_csv,
     write_node_table,
     write_scores_csv,
     write_scores_dot,
-    write_scores_json,
 )
 from .temporal import DEFAULT_Z_THRESHOLD, bin_events, control_series, detect_spikes
 from .walker import WalkConfig
@@ -67,14 +69,22 @@ class InputError(ValueError):
     pass
 
 
-def _load_graph(path: str) -> Graph:
+@contextmanager
+def _reading(path: str):
+    """The input file at ``path``, open for one read; an OSError names the path."""
     try:
         with open(path) as handle:
-            return load_edge_list(handle)
+            yield handle
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+
+
+def _load_graph(path: str) -> Graph:
+    with _reading(path) as handle:
+        try:
+            return load_edge_list(handle)
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -89,50 +99,28 @@ def _write_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
-def _data_lines(path: str, header: str | None):
-    """Stripped lines of an input CSV, without blank lines, ``#`` comments and ``header``."""
-    try:
-        with open(path) as handle:
-            for line in handle:
-                text = line.strip()
-                if text and text[0] != "#" and text != header:
-                    yield text
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _bad_line(path: str, header: str | None, index: int, problem: str) -> InputError:
-    """An error naming the line of ``path`` that holds data line ``index`` (from 0)."""
-    with open(path) as handle:
-        numbered = enumerate(handle, start=1)
-        # a skipped line is blank, "#" or the header, so it never equals a data line
-        for wanted in islice(_data_lines(path, header), index + 1):
-            line_number = next(n for n, line in numbered if line.strip() == wanted)
-    return InputError(f"{path}: line {line_number}: {problem}")
-
-
 def _read_labels(path: str, g: Graph) -> np.ndarray:
     """Node labels from a node_id,community_id CSV, as written by the communities command."""
-    header = "node_id,community_id"
-    by_name = {g.name_of(v): v for v in range(g.num_nodes)}
+    by_name = dict(zip(g.names, range(g.num_nodes)))
     labels = [-1] * g.num_nodes
-    for index, text in enumerate(_data_lines(path, header)):
-        name, _, label = text.partition(",")
-        v = by_name.get(name)
-        try:
-            community = int(label)
-        except ValueError:
-            community = -1
-        if v is None:
-            problem = f"unknown node {name!r}"
-        elif labels[v] >= 0:
-            problem = f"node {name!r} is listed twice"
-        elif community < 0:
-            problem = f"community {label!r} is not a nonnegative integer"
-        else:
-            labels[v] = community
-            continue
-        raise _bad_line(path, header, index, problem)
+    with _reading(path) as handle:
+        for number, text in data_lines(handle, "node_id,community_id"):
+            name, _, label = text.partition(",")
+            v = by_name.get(name)
+            try:
+                community = int(label)
+            except ValueError:
+                community = -1
+            if v is None:
+                problem = f"unknown node {name!r}"
+            elif labels[v] >= 0:
+                problem = f"node {name!r} is listed twice"
+            elif community < 0:
+                problem = f"community {label!r} is not a nonnegative integer"
+            else:
+                labels[v] = community
+                continue
+            raise InputError(f"{path}: line {number}: {problem}")
     labels = np.array(labels)
     if (labels < 0).any():
         raise InputError(f"{path}: does not label every node of the graph")
@@ -145,17 +133,18 @@ def _read_scores(path: str) -> dict[str, float]:
     Only the first data line may be a header: a line whose last field is not a number.
     """
     scores: dict[str, float] = {}
-    for index, text in enumerate(_data_lines(path, None)):
-        name, _, rest = text.partition(",")
-        try:
-            value = float(rest.rpartition(",")[2])
-        except ValueError:
-            if index == 0:
-                continue  # the header
-            raise _bad_line(path, None, index, f"no numeric score in {text!r}") from None
-        if name in scores:
-            raise _bad_line(path, None, index, f"node {name!r} is listed twice")
-        scores[name] = value
+    with _reading(path) as handle:
+        for index, (number, text) in enumerate(data_lines(handle)):
+            name, _, rest = text.partition(",")
+            try:
+                value = float(rest.rpartition(",")[2])
+            except ValueError:
+                if index == 0:
+                    continue  # the header
+                raise InputError(f"{path}: line {number}: no numeric score in {text!r}") from None
+            if name in scores:
+                raise InputError(f"{path}: line {number}: node {name!r} is listed twice")
+            scores[name] = value
     if not scores:
         raise InputError(f"{path}: no score rows found")
     return scores
@@ -163,30 +152,32 @@ def _read_scores(path: str) -> dict[str, float]:
 
 def _read_events(path: str, g: Graph) -> np.ndarray:
     """Load an epoch_seconds,node_id CSV as (N, 2) int64 ``[stamp, node]`` rows in file order."""
-    header = "epoch_seconds,node_id"
-    by_name = {g.name_of(v): v for v in range(g.num_nodes)}
+    by_name = dict(zip(g.names, range(g.num_nodes)))
+    numbers = array("q")  # the line number of each event
     stamps: list[str] = []
     nodes: list[int] = []
-    for text in _data_lines(path, header):
-        stamp, _, name = text.partition(",")
-        node = by_name.get(name)
-        if node is None:
-            raise _bad_line(path, header, len(stamps), f"unknown node {name!r}")
-        stamps.append(stamp)
-        nodes.append(node)
+    with _reading(path) as handle:
+        for number, text in data_lines(handle, "epoch_seconds,node_id"):
+            stamp, _, name = text.partition(",")
+            node = by_name.get(name)
+            if node is None:
+                raise InputError(f"{path}: line {number}: unknown node {name!r}")
+            numbers.append(number)
+            stamps.append(stamp)
+            nodes.append(node)
     if not stamps:
         raise InputError(f"{path}: no events found")
     events = np.empty((len(stamps), 2), dtype=np.int64)
     try:
         events[:, 0] = np.array(stamps, dtype=np.int64)
     except (ValueError, OverflowError):
-        for index, stamp in enumerate(stamps):  # failure path: find the first bad stamp
+        for number, stamp in zip(numbers, stamps):  # failure path: find the first bad stamp
             try:
                 np.array(stamp, dtype=np.int64)
             except (ValueError, OverflowError):
                 break
-        raise _bad_line(path, header, index,
-                        f"timestamp {stamp!r} is not a 64-bit integer") from None
+        raise InputError(f"{path}: line {number}: "
+                         f"timestamp {stamp!r} is not a 64-bit integer") from None
     events[:, 1] = nodes
     return events
 
@@ -210,8 +201,7 @@ def cmd_pipeline(args) -> int:
     with open(out / "scores.csv", "w") as handle:
         write_scores_csv(result, handle)
     if args.format == "json":
-        with open(out / "scores.json", "w") as handle:
-            write_scores_json(result, handle)
+        _write_json(out / "scores.json", build_scores_json(result))
     elif args.format == "dot":
         with open(out / "scores.dot", "w") as handle:
             write_scores_dot(g, result.scores.normalized, handle)
@@ -295,8 +285,7 @@ def cmd_overlap(args) -> int:
     ks = args.ks or list(range(1, min(args.max_k, len(names)) + 1))
     curve = rank_overlap(vec_a, vec_b, ks)
     with open(_out_dir(args) / "overlap.csv", "w") as handle:
-        handle.write("k,proportion\n")
-        handle.writelines(map("{},{!r}\n".format, curve.ks, curve.proportions))
+        write_csv(handle, "k,proportion", curve.ks, curve.proportions)
     return 0
 
 
@@ -328,8 +317,7 @@ def cmd_generate(args) -> int:
             write_node_table(g, handle, "node_id,community_id", planted.planted_labels,
                              comment=recipe)
         with open(out / "planted_boundary.csv", "w") as handle:
-            handle.write(f"# {recipe}\nnode_id\n")
-            handle.writelines(f"{v}\n" for v in planted.planted_boundary.tolist())
+            write_csv(handle, "node_id", planted.planted_boundary.tolist(), comment=recipe)
     with open(out / "graph.edges", "w") as handle:
         handle.write(f"# {recipe}\n")
         write_edge_list(g, handle)
@@ -364,11 +352,11 @@ def cmd_temporal(args) -> int:
         }
     out = _out_dir(args)
     with open(out / "temporal.csv", "w") as handle:
-        handle.write(f"# seed={args.seed} window={args.window} "
-                     f"q_threshold={args.q_threshold} z_threshold={args.z_threshold}\n")
-        handle.write("window_index,total,boundary_active,control_active\n")
-        handle.writelines(map("{},{},{},{}\n".format, range(totals.num_windows),
-                              totals.totals, boundary_series.actives, control.actives))
+        write_csv(handle, "window_index,total,boundary_active,control_active",
+                  range(totals.num_windows), totals.totals.tolist(),
+                  boundary_series.actives.tolist(), control.actives.tolist(),
+                  comment=f"seed={args.seed} window={args.window} "
+                          f"q_threshold={args.q_threshold} z_threshold={args.z_threshold}")
     _write_json(out / "spikes.json", report)
     return 0
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -24,14 +24,14 @@ class Graph:
 
     Node ids are dense integers in [0, num_nodes). ``edges`` is a read-only
     (M, 2) int64 array holding each undirected edge once as a (u, v) row
-    with u < v, in input order. ``names`` maps dense ids back to the
-    original node tokens when the graph was read from a file with non-dense
-    labels. ``csr`` is the adjacency as arrays, built on first use.
+    with u < v, in input order. ``names`` holds each node's token, by dense
+    id: the token read from the file, or ``str(v)`` for a generated graph.
+    ``csr`` is the adjacency as arrays, built on first use.
     """
 
     num_nodes: int
     edges: np.ndarray
-    names: tuple[str, ...] | None = None
+    names: tuple[str, ...]
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0
 
@@ -60,9 +60,6 @@ class Graph:
         indptr = self.csr[0]
         return int(indptr[v + 1] - indptr[v])
 
-    def name_of(self, v: int) -> str:
-        return self.names[v] if self.names is not None else str(v)
-
 
 @dataclass(frozen=True, eq=False)
 class ComponentPartition:
@@ -81,10 +78,10 @@ class ComponentPartition:
 def build_graph(num_nodes: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Graph:
     """Assemble a Graph from already-dense node ids, validating simplicity.
 
-    ``edges`` is an (M, 2) integer array or an iterable of pairs. Raises
-    ValueError naming the first edge, in input order, that is out of range,
-    a self-loop, or a duplicate; callers that tolerate those must filter
-    beforehand (see load_edge_list).
+    Node v's token is ``str(v)``. ``edges`` is an (M, 2) integer array or an
+    iterable of pairs. Raises ValueError naming the first edge, in input
+    order, that is out of range, a self-loop, or a duplicate; callers that
+    tolerate those must filter beforehand (see load_edge_list).
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be nonnegative")
@@ -104,14 +101,26 @@ def build_graph(num_nodes: int, edges: np.ndarray | Iterable[tuple[int, int]]) -
         if loop[i]:
             raise ValueError(f"self-loop at node {u[i]}")
         raise ValueError(f"duplicate edge ({lo[i]}, {hi[i]})")
-    return Graph(num_nodes, np.stack([lo, hi], axis=1))
+    return Graph(num_nodes, np.stack([lo, hi], axis=1), tuple(map(str, range(num_nodes))))
+
+
+def data_lines(lines: Iterable[str], header: str | None = None) -> Iterator[tuple[int, str]]:
+    """``(line number from 1, stripped text)`` of each line that holds data.
+
+    This is the one line rule of every input file: a line is stripped, and a
+    blank line, a ``#`` comment and a line equal to ``header`` hold no data.
+    """
+    for number, line in enumerate(lines, start=1):
+        text = line.strip()
+        if text and text[0] != "#" and text != header:
+            yield number, text
 
 
 def load_edge_list(stream: TextIO | Iterable[str]) -> Graph:
     """Parse an edge-list text stream into a Graph.
 
-    Each non-empty, non-comment ('#') line holds two node tokens separated
-    by whitespace or a comma. Tokens are interned to dense ids in first-seen
+    Each data line (see data_lines) holds two node tokens separated by
+    whitespace or a comma. Tokens are interned to dense ids in first-seen
     order, so files with string labels or sparse/1-based integer ids load
     uniformly; original tokens are kept in ``Graph.names``. Self-loops and
     duplicate edges are dropped (the first copy of an edge is kept), with
@@ -122,10 +131,7 @@ def load_edge_list(stream: TextIO | Iterable[str]) -> Graph:
     """
     ids: dict[str, int] = {}
     ends = array("q")
-    for line_number, line in enumerate(stream, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for line_number, text in data_lines(stream):
         tokens = text.replace(",", " ").split()
         if len(tokens) != 2:
             raise EdgeListParseError(
@@ -150,9 +156,9 @@ def load_edge_list(stream: TextIO | Iterable[str]) -> Graph:
 
 
 def write_edge_list(g: Graph, stream: TextIO) -> None:
-    """Serialize one edge per line using original node names when present."""
-    for u, v in g.edges.tolist():
-        stream.write(f"{g.name_of(u)} {g.name_of(v)}\n")
+    """Serialize one edge per line as its two node tokens."""
+    names = g.names
+    stream.writelines(f"{names[u]} {names[v]}\n" for u, v in g.edges.tolist())
 
 
 def component_roots(num_nodes: int, edges: np.ndarray) -> np.ndarray:
@@ -198,7 +204,7 @@ def subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
 
     New ids follow ascending old id order: node i of the subgraph is the
     i-th smallest of ``nodes``. Edges survive iff both endpoints are kept,
-    in ``g``'s edge order.
+    in ``g``'s edge order, and each node keeps its token.
     """
     selected = np.unique(np.fromiter(nodes, dtype=np.int64))
     outside = selected[(selected < 0) | (selected >= g.num_nodes)]
@@ -207,5 +213,5 @@ def subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     new_id = np.full(g.num_nodes, -1)
     new_id[selected] = np.arange(len(selected))
     edges = new_id[g.edges]
-    names = tuple(g.names[v] for v in selected.tolist()) if g.names is not None else None
-    return Graph(len(selected), edges[(edges >= 0).all(axis=1)], names=names)
+    names = tuple(g.names[v] for v in selected.tolist())
+    return Graph(len(selected), edges[(edges >= 0).all(axis=1)], names)

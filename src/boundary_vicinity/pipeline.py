@@ -8,7 +8,6 @@ node with confined walkers.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -131,25 +130,25 @@ def _run_params(result: PipelineResult) -> dict:
     return {"seed": walk.pop("seed"), "q_threshold": result.q_threshold, **walk}
 
 
-def _write_csv(stream: TextIO, header: str, *columns: Iterable[str]) -> None:
-    """``header``, then a line per row holding the columns' strings comma-separated."""
-    stream.write("\n".join(chain([header], map(",".join, zip(*columns)))))
+def write_csv(stream: TextIO, header: str, *columns: Iterable,
+              comment: str | None = None) -> None:
+    """The writer of every CSV file: ``comment`` as a ``#`` line when given,
+    ``header``, then a line per row holding str of each column's value.
+
+    Columns hold Python values, so an array goes in as its ``.tolist()``;
+    str of a Python float is its ``repr``, which reads back as the same float.
+    """
+    if comment is not None:
+        stream.write(f"# {comment}\n")
+    rows = zip(*(map(str, column) for column in columns))
+    stream.write("\n".join(chain([header], map(",".join, rows))))
     stream.write("\n")
 
 
 def write_node_table(g: Graph, stream: TextIO, header: str, *columns: np.ndarray,
                      comment: str | None = None) -> None:
-    """A CSV row per node: its token, then its value in each column.
-
-    Columns are int or float arrays; a float is written as its ``repr``,
-    which reads back as the same float. ``comment``, when given, goes first
-    as a ``#`` line.
-    """
-    if comment is not None:
-        stream.write(f"# {comment}\n")
-    names = g.names if g.names is not None else map(str, range(g.num_nodes))
-    # str of a Python float is its repr
-    _write_csv(stream, header, names, *(map(str, c.tolist()) for c in columns))
+    """A CSV row per node: its token, then its value in each int or float column."""
+    write_csv(stream, header, g.names, *(c.tolist() for c in columns), comment=comment)
 
 
 def write_scores_csv(result: PipelineResult, stream: TextIO) -> None:
@@ -158,32 +157,25 @@ def write_scores_csv(result: PipelineResult, stream: TextIO) -> None:
                      result.scores.raw, result.scores.normalized, comment=params)
 
 
-def write_scores_json(result: PipelineResult, stream: TextIO) -> None:
-    g = result.graph
-    payload = {
+def build_scores_json(result: PipelineResult) -> dict:
+    """The run's parameters, then each node's token and scores."""
+    scores = result.scores
+    rows = zip(result.graph.names, scores.raw.tolist(), scores.normalized.tolist())
+    return {
         **_run_params(result),
-        "scores": [
-            {
-                "node_id": g.name_of(v),
-                "raw_score": float(result.scores.raw[v]),
-                "normalized_score": float(result.scores.normalized[v]),
-            }
-            for v in range(g.num_nodes)
-        ],
+        "scores": [{"node_id": name, "raw_score": raw, "normalized_score": normalized}
+                   for name, raw, normalized in rows],
     }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
 
 
 def write_scores_dot(g: Graph, normalized: Sequence[float], stream: TextIO) -> None:
     """Graphviz export with node sizes scaled by normalized score."""
     # a backslash is escaped first, so a token ending in one cannot escape the closing quote
-    ids = [g.name_of(v).replace("\\", "\\\\").replace('"', '\\"') for v in range(g.num_nodes)]
+    ids = [name.replace("\\", "\\\\").replace('"', '\\"') for name in g.names]
     stream.write("graph boundary_vicinity {\n")
     stream.write("  node [shape=circle, fixedsize=true];\n")
-    for v in range(g.num_nodes):
-        width = 0.25 + 0.75 * float(normalized[v])
-        stream.write(f'  "{ids[v]}" [width={width:.4f}];\n')
+    for name, score in zip(ids, np.asarray(normalized, dtype=np.float64).tolist()):
+        stream.write(f'  "{name}" [width={0.25 + 0.75 * score:.4f}];\n')
     for u, v in g.edges.tolist():
         stream.write(f'  "{ids[u]}" -- "{ids[v]}";\n')
     stream.write("}\n")
@@ -202,16 +194,16 @@ def write_communities_csv(g: Graph, labels: np.ndarray, stream: TextIO, seed: in
 def write_boundary_csv(g: Graph, labels: np.ndarray, bset: BoundarySet,
                        stream: TextIO) -> None:
     u, v = bset.boundary_edges.T
-    _write_csv(stream, "i,j,community_i,community_j", map(g.name_of, u.tolist()),
-               map(g.name_of, v.tolist()), map(str, labels[u].tolist()),
-               map(str, labels[v].tolist()))
+    names = g.names
+    write_csv(stream, "i,j,community_i,community_j", [names[w] for w in u.tolist()],
+              [names[w] for w in v.tolist()], labels[u].tolist(), labels[v].tolist())
 
 
 def write_boundary_nodes_csv(g: Graph, labels: np.ndarray, bset: BoundarySet,
                              stream: TextIO) -> None:
     nodes = bset.boundary_nodes
-    _write_csv(stream, "node_id,community_id", map(g.name_of, nodes.tolist()),
-               map(str, labels[nodes].tolist()))
+    write_csv(stream, "node_id,community_id", [g.names[v] for v in nodes.tolist()],
+              labels[nodes].tolist())
 
 
 def write_betweenness_csv(g: Graph, values: Sequence[float], stream: TextIO) -> None:

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -532,6 +533,41 @@ def test_bad_label_line_named_with_exit_2(tmp_path, bridge_file, capsys, body, l
     assert code == 2
     assert f"{labels}: line {line}: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, body, problem", [
+    ("boundary", "--labels", "node_id,community_id\n0,0\n\n9,0\n", "line 4: unknown node '9'"),
+    ("boundary", "--labels", "# c\n0,0\n1,0\n0,1\n", "line 4: node '0' is listed twice"),
+    ("boundary", "--labels", "0,0\n1,x\n", "line 2: community 'x' is not a nonnegative integer"),
+    ("overlap", "--a", "node,score\n0,1.5\n\n1,high\n", "line 4: no numeric score in '1,high'"),
+    ("overlap", "--a", "0,1\n# c\n0,2\n", "line 3: node '0' is listed twice"),
+    ("temporal", "--events", "epoch_seconds,node_id\n10,0\n10,7\n", "line 3: unknown node '7'"),
+    ("temporal", "--events", "10,0\n\n16x,1\n", "line 3: timestamp '16x' is not a 64-bit integer"),
+], ids=["labels-unknown-node", "labels-listed-twice", "labels-bad-community",
+        "scores-no-number", "scores-listed-twice", "events-unknown-node", "events-bad-stamp"])
+def test_bad_row_read_through_a_pipe_is_named_as_in_a_file(tmp_path, bridge_file, capsys,
+                                                           command, flag, body, problem):
+    """A pipe can be read only once, so the error's line number comes from that one read."""
+    other = tmp_path / "other.csv"
+    other.write_text("0,1\n1,2\n")
+    argv = {"boundary": ["boundary", "--input", str(bridge_file)],
+            "overlap": ["overlap", "--b", str(other)],
+            "temporal": ["temporal", "--input", str(bridge_file)]}[command]
+
+    def run(path):
+        code = main([*argv, flag, path, "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    regular = tmp_path / "rows.csv"
+    regular.write_text(body)
+    assert run(str(regular)) == (2, f"error: {regular}: {problem}\n")
+    read, write = os.pipe()
+    os.write(write, body.encode())  # a few bytes: the pipe's buffer holds them
+    os.close(write)
+    try:
+        assert run(f"/dev/fd/{read}") == (2, f"error: /dev/fd/{read}: {problem}\n")
+    finally:
+        os.close(read)
 
 
 def test_labels_missing_a_node_exit_2(tmp_path, bridge_file, capsys):
