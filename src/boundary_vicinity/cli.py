@@ -71,12 +71,14 @@ class InputError(ValueError):
 
 @contextmanager
 def _reading(path: str):
-    """The input file at ``path``, open for one read; an OSError names the path."""
+    """The input file at ``path``, open for one read; a read or decode error names it."""
     try:
         with open(path) as handle:
             yield handle
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_graph(path: str) -> Graph:

@@ -32,10 +32,10 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    # one draw per pair, in row-major (u, v > u) order
-    u, v = np.triu_indices(n, 1)
-    keep = rng.random(len(u)) < p
-    return build_graph(n, np.stack([u[keep], v[keep]], axis=1))
+    # one draw per pair, in row-major (u, v > u) order, a row of draws at a time
+    rows = [np.flatnonzero(rng.random(n - 1 - u) < p) + u + 1 for u in range(n)]
+    u = np.repeat(np.arange(n), [len(row) for row in rows])
+    return build_graph(n, np.stack([u, np.concatenate(rows)], axis=1))
 
 
 def preferential_attachment(n: int, m: int, seed: int = 0) -> Graph:

@@ -23,6 +23,7 @@ from .community import (
     detect_communities,
     modularity,
 )
+# subgraph is not called here; bench/tracing.py wraps it as a pipeline attribute
 from .graph import Graph, connected_components, subgraph
 from .walker import VisitScores, WalkConfig, bva
 
@@ -67,40 +68,37 @@ def detect_all_communities(
 ) -> tuple[CommunityLabeling, list[ComponentReport]]:
     """Per-component community detection merged into one global labeling.
 
+    Each component goes to Louvain as its own graph: its rows of ``g.edges``
+    in input order, its nodes numbered by rank among its ascending members.
     Components whose detected modularity falls below ``q_threshold`` (or
     that have no edges at all) are treated as structureless: all their
     nodes share a single community label, so they contribute no boundary.
     Labels are globally unique across components.
     """
     parts = connected_components(g)
+    # one stable sort groups each component's edge rows, in g.edges order
+    row_component = parts.component_id[g.edges[:, 0]]
+    rows = g.edges[np.argsort(row_component, kind="stable")]
+    row_ends = np.cumsum(np.bincount(row_component, minlength=len(parts.components)))
     labels = np.full(g.num_nodes, -1)
     reports: list[ComponentReport] = []
     next_label = 0
-    for index, members in enumerate(parts.components):
-        # the induced subgraph on every node is g itself, in the same order
-        sub = g if len(members) == g.num_nodes else subgraph(g, members)
-        if sub.num_edges == 0:
-            labels[members] = next_label
-            next_label += 1
-            reports.append(ComponentReport(
-                index=index, size=len(members), num_edges=0, modularity=None,
-                num_communities=1, passes=0, local_moves=0, skipped="no_edges",
-            ))
-            continue
-        detected = detect_communities(sub, seed=component_seed(seed, index))
-        skipped = "below_q_threshold" if detected.modularity < q_threshold else None
-        # subgraph ids follow ascending old ids, as members do
+    for index, (members, edges) in enumerate(zip(parts.components, np.split(rows, row_ends))):
+        # a node's id in its component is its rank among the ascending members
+        sub = Graph(len(members), np.searchsorted(members, edges),
+                    tuple(g.names[v] for v in members.tolist()))
+        # an edgeless component has no modularity and takes no Louvain pass
+        detected = (detect_communities(sub, seed=component_seed(seed, index)) if len(edges)
+                    else CommunityLabeling((), None, 1))
+        skipped = ("no_edges" if detected.modularity is None else
+                   "below_q_threshold" if detected.modularity < q_threshold else None)
         labels[members] = next_label + (0 if skipped else detected.labels)
         count = 1 if skipped else detected.num_communities
         next_label += count
-        reports.append(ComponentReport(
-            index=index, size=len(members), num_edges=sub.num_edges,
-            modularity=detected.modularity, num_communities=count,
-            passes=detected.passes, local_moves=detected.local_moves, skipped=skipped,
-        ))
+        reports.append(ComponentReport(index, len(members), len(edges), detected.modularity,
+                                       count, detected.passes, detected.local_moves, skipped))
     merged_q = modularity(g, labels) if g.num_edges > 0 else 0.0
-    merged = CommunityLabeling(labels=labels, modularity=merged_q, num_communities=next_label)
-    return merged, reports
+    return CommunityLabeling(labels, merged_q, next_label), reports
 
 
 def run_pipeline(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,18 @@ def test_er_matches_pair_loop_definition(n, p, seed):
 
 def test_er_deterministic():
     assert np.array_equal(erdos_renyi(50, 0.1, seed=7).edges, erdos_renyi(50, 0.1, seed=7).edges)
+
+
+def test_er_memory_grows_with_edges_not_pairs():
+    # 12.5M pairs: holding them all at once took about 300 MB
+    tracemalloc.start()
+    try:
+        g = erdos_renyi(5000, 0.001, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges > 0
+    assert peak < 32 * 2**20
 
 
 def test_er_validates_inputs():

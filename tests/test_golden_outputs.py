@@ -4,9 +4,12 @@ The sweep runs ``cli.main`` in process: ``generate er|pa|planted``, then
 ``pipeline`` (csv, json, dot, and a run that exits 3), ``communities``,
 ``components``, ``boundary``, ``betweenness``, ``overlap`` (``--max-k`` and
 ``--ks``) and ``temporal`` on the planted graph, on a copy of it whose
-tokens are strings (two of them need escaping in DOT), and on a fixed event
-stream. ``manifest.json`` is hashed without its ``elapsed_seconds`` line. A
-change that moves any output byte or exit code fails here.
+tokens are strings (two of them need escaping in DOT), on a fixed event
+stream, and ``pipeline`` and ``communities`` on a disconnected edge list
+whose components Louvain accepts, skips below the threshold, or never sees
+for want of edges. ``manifest.json`` is hashed without its
+``elapsed_seconds`` line. A change that moves any output byte or exit code
+fails here.
 """
 
 import hashlib
@@ -19,6 +22,10 @@ GENERATE = [
     ("gen-er", "generate er --n 30 --p 0.08 --seed 2"),
     ("gen-pa", "generate pa --n 30 --m 2 --seed 3"),
 ]
+
+# a bridged pair of triangles, a lone triangle, an isolated edge and two
+# isolated nodes left by self-loop lines, with the components' rows interleaved
+DISCONNECTED = "a b\nt1 t2\nb c\nx x\nt2 t3\nc d\nd e\ne1 e2\nc a\ny y\ne f\nt1 t3\nd f\n"
 
 SWEEP = [
     ("pipeline-csv", "pipeline --input {planted} --seed 0"),
@@ -35,6 +42,9 @@ SWEEP = [
     ("overlap-ks", "overlap --a {scores} --b {betweenness} --ks 1,5,20,60"),
     ("overlap-tokens", "overlap --a {tokens_scores} --b {tokens_betweenness} --max-k 8"),
     ("temporal", "temporal --input {planted} --events {events} --seed 0 --window 60"),
+    ("pipeline-disconnected", "pipeline --input {disconnected} --seed 0 --q-threshold 0.2"),
+    ("communities-disconnected", "communities --input {disconnected} --seed 1 "
+                                 "--q-threshold 0.2"),
 ]
 
 EXPECTED = {
@@ -89,6 +99,14 @@ EXPECTED = {
     'temporal': '0',
     'temporal/spikes.json': '53f5e62ac4124e2309af997c052c8b3acc09aacfd692f8d9289394b52ad494c3',
     'temporal/temporal.csv': '5df4262616d5dbe614ce43b6a842e8c762062d2ce307e9729cf71925c8dd589f',
+    'pipeline-disconnected': '0',
+    'pipeline-disconnected/boundary.csv': '90ee1845ff6e3a899cc1498cf5bebded39703d62dad56b1e94ecfb7978d53624',
+    'pipeline-disconnected/communities.csv': 'e2c10ed687c27fcac8cb04f88b16007137df5db4d0d77536604c570e27514983',
+    'pipeline-disconnected/manifest.json': '65a3499b13516659ff4ed930705ef156ca72cb2083083349b2002964c62063a3',
+    'pipeline-disconnected/scores.csv': '077926985f9af00032b02ac92143aa186790cf599ce2d731fbcc9fcdd80fdaa4',
+    'communities-disconnected': '0',
+    'communities-disconnected/communities.csv': '94122bddd86b9e104d3a954d41c333d703d2e57de9fe47038f5b080af536952e',
+    'communities-disconnected/communities.json': 'f4a842d7ed440aa2b07bbe7eb31fd71f9b06fb08ba971a6b18f47aaff4dd418a',
 }
 
 
@@ -119,6 +137,7 @@ def run_sweep(root) -> dict[str, str]:
         "er": root / "gen-er" / "graph.edges",
         "tokens": root / "tokens.edges",
         "events": root / "events.csv",
+        "disconnected": root / "disconnected.edges",
         "scores": root / "pipeline-csv" / "scores.csv",
         "betweenness": root / "betweenness" / "betweenness.csv",
         "tokens_scores": root / "pipeline-json" / "scores.csv",
@@ -127,6 +146,7 @@ def run_sweep(root) -> dict[str, str]:
     for index, (run, command) in enumerate(GENERATE + SWEEP):
         if index == len(GENERATE):
             write_inputs(root / "gen-planted", paths["tokens"], paths["events"])
+            paths["disconnected"].write_text(DISCONNECTED)
         out = root / run
         got[run] = str(main(command.format(**paths).split() + ["--out", str(out)]))
         for path in sorted(out.iterdir()):

@@ -15,12 +15,13 @@ from boundary_vicinity import (
     detect_communities,
     erdos_renyi,
     load_edge_list,
+    preferential_attachment,
     run_pipeline,
     subgraph,
 )
-from boundary_vicinity import pipeline
 from boundary_vicinity.cli import _read_events, _walk_config, build_parser, main
 from boundary_vicinity.pipeline import (
+    ComponentReport,
     component_seed,
     write_betweenness_csv,
     write_scores_csv,
@@ -97,9 +98,10 @@ def test_manifest_components_record_local_moves(bridge_file, tmp_path):
         assert report["local_moves"] >= report["size"]
 
 
-def per_component_labels(g, seed, q_threshold):
-    """Labels as detect_all_communities defines them, every component copied by subgraph."""
-    labels, next_label = [-1] * g.num_nodes, 0
+def per_component_reference(g, seed, q_threshold):
+    """Labels and component reports as detect_all_communities defines them,
+    every component copied by subgraph."""
+    labels, reports, next_label = [-1] * g.num_nodes, [], 0
     for index, members in enumerate(connected_components(g).components):
         sub = subgraph(g, members)
         mapping = dict(zip(np.unique(members).tolist(), range(sub.num_nodes)))
@@ -108,32 +110,59 @@ def per_component_labels(g, seed, q_threshold):
         if detected is None or detected.modularity < q_threshold:
             for v in members:
                 labels[v] = next_label
-            next_label += 1
+            count, skipped = 1, "no_edges" if detected is None else "below_q_threshold"
         else:
             for old, new in mapping.items():
                 labels[old] = next_label + detected.labels[new]
-            next_label += detected.num_communities
-    return labels
+            count, skipped = detected.num_communities, None
+        next_label += count
+        reports.append(ComponentReport(
+            index=index, size=sub.num_nodes, num_edges=sub.num_edges,
+            modularity=None if detected is None else detected.modularity,
+            num_communities=count, passes=0 if detected is None else detected.passes,
+            local_moves=0 if detected is None else detected.local_moves, skipped=skipped,
+        ))
+    return labels, reports
 
 
-def test_detect_all_communities_copies_only_proper_components(karate, monkeypatch):
-    copied = []
+def many_components(seed: int):
+    """311 components with node ids and edge rows shuffled: a PA graph, 100 bridged
+    triangle pairs, 100 lone triangles, 60 isolated edges and 50 isolated nodes."""
+    rng = np.random.default_rng(seed)
+    rows = preferential_attachment(200, 2, seed=seed).edges.tolist()
+    n = 200
+    bridged = load_edge_list(io.StringIO(BRIDGE)).edges.tolist()
+    for _ in range(100):
+        rows += [[n + u, n + v] for u, v in bridged]
+        n += 6
+    for _ in range(100):
+        rows += [[n, n + 1], [n, n + 2], [n + 1, n + 2]]
+        n += 3
+    for _ in range(60):
+        rows.append([n, n + 1])
+        n += 2
+    n += 50
+    relabel = rng.permutation(n)
+    rows = relabel[np.array(rows)][rng.permutation(len(rows))]
+    return build_graph(n, rows)
 
-    def recording_subgraph(g, nodes):
-        copied.append(len(nodes))
-        return subgraph(g, nodes)
 
-    monkeypatch.setattr(pipeline, "subgraph", recording_subgraph)
+def test_detect_all_communities_matches_per_component_subgraphs(karate):
     # karate, then a bridged pair of triangles, an isolated edge and an isolated node
     shift = karate.num_nodes
     bridged = [(shift + u, shift + v) for u, v in load_edge_list(io.StringIO(BRIDGE)).edges]
     several = build_graph(shift + 9, [*karate.edges, *bridged, (shift + 6, shift + 7)])
-    for g, expected_copies in ((karate, []), (several, [34, 6, 2, 1])):
-        copied.clear()
+    many = many_components(4)
+    assert len(connected_components(many).components) == 311
+    for g in (karate, several, many):
         for seed in (0, 1, 2):
-            labeling, _ = detect_all_communities(g, seed=seed, q_threshold=0.2)
-            assert list(labeling.labels) == per_component_labels(g, seed, 0.2)
-        assert copied == expected_copies * 3
+            labeling, reports = detect_all_communities(g, seed=seed, q_threshold=0.2)
+            labels, expected = per_component_reference(g, seed, 0.2)
+            assert list(labeling.labels) == labels
+            assert labeling.num_communities == max(labels) + 1
+            assert reports == expected
+    skipped = {r.skipped for r in reports}
+    assert skipped == {None, "below_q_threshold", "no_edges"}
 
 
 def test_pipeline_scores_csv_embeds_parameters(bridge_file, tmp_path):
@@ -513,6 +542,25 @@ def test_bad_event_line_named_with_exit_2(tmp_path, bridge_file, capsys, body, l
     assert f"{events}: line {line}: " in err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["boundary --labels", "overlap --a", "overlap --b",
+                                  "temporal --events"])
+def test_input_not_utf8_named_with_exit_2(tmp_path, bridge_file, capsys, flag):
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_bytes(b"0,0\n1,\xff\n")
+    good.write_text("0,1\n1,2\n")
+    argv = {
+        "boundary --labels": ["boundary", "--input", bridge_file, "--labels", bad],
+        "overlap --a": ["overlap", "--a", bad, "--b", good],
+        "overlap --b": ["overlap", "--a", good, "--b", bad],
+        "temporal --events": ["temporal", "--input", bridge_file, "--events", bad],
+    }[flag]
+    code = main([*map(str, argv), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {bad}: ")
+    assert "can't decode byte 0xff" in err
 
 
 @pytest.mark.parametrize("body, line, message", [
