@@ -33,6 +33,6 @@ def boundary_edges(g: Graph, labels: np.ndarray) -> BoundarySet:
     if len(labels) != g.num_nodes:
         raise ValueError(f"labeling covers {len(labels)} nodes, graph has {g.num_nodes}")
     crossing = g.edges[labels[g.edges[:, 0]] != labels[g.edges[:, 1]]]
-    nodes = np.unique(crossing)
+    nodes = np.flatnonzero(np.bincount(crossing.ravel(), minlength=g.num_nodes))
     crossing.flags.writeable = nodes.flags.writeable = False
     return BoundarySet(boundary_edges=crossing, boundary_nodes=nodes)

@@ -331,9 +331,9 @@ def cmd_temporal(args) -> int:
     events = _read_events(args.events, g)
     labeling, _ = detect_all_communities(g, seed=args.seed, q_threshold=args.q_threshold)
     boundary_nodes = boundary_edges(g, labeling.labels).boundary_nodes
-    totals = bin_events(events, args.window)
-    boundary_series = bin_events(events, args.window, node_filter=boundary_nodes)
-    control = control_series(events, boundary_nodes, g.num_nodes, args.window, seed=args.seed)
+    series = bin_events(events, args.window)
+    boundary_active = series.actives(boundary_nodes)
+    control_active = control_series(series, boundary_nodes, g.num_nodes, seed=args.seed)
     report = {
         "seed": args.seed,
         "window_seconds": args.window,
@@ -343,9 +343,9 @@ def cmd_temporal(args) -> int:
     }
     # a spike error (too few windows) is raised before anything is written
     for label, counts in (
-        ("total", totals.totals),
-        ("boundary_active", boundary_series.actives),
-        ("control_active", control.actives),
+        ("total", series.totals),
+        ("boundary_active", boundary_active),
+        ("control_active", control_active),
     ):
         spikes = detect_spikes(counts, z_threshold=args.z_threshold)
         report["series"][label] = {
@@ -355,8 +355,8 @@ def cmd_temporal(args) -> int:
     out = _out_dir(args)
     with open(out / "temporal.csv", "w") as handle:
         write_csv(handle, "window_index,total,boundary_active,control_active",
-                  range(totals.num_windows), totals.totals.tolist(),
-                  boundary_series.actives.tolist(), control.actives.tolist(),
+                  range(series.num_windows), series.totals.tolist(),
+                  boundary_active.tolist(), control_active.tolist(),
                   comment=f"seed={args.seed} window={args.window} "
                           f"q_threshold={args.q_threshold} z_threshold={args.z_threshold}")
     _write_json(out / "spikes.json", report)

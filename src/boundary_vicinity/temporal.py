@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -14,17 +13,13 @@ DEFAULT_Z_THRESHOLD = 3.0
 
 @dataclass(frozen=True)
 class EventSeries:
-    """Per-window event totals and distinct-active-node counts.
+    """Per-window event totals, and the window and node of every event.
 
-    Windows are contiguous, ``window_seconds`` wide, starting at the first
-    event's timestamp ``t0``. When a node filter was applied, both series
-    count only events from filtered nodes. ``windows`` and ``nodes`` hold
-    the window index and node of each counted event; ``actives`` is
-    computed from them on first read.
+    Windows are contiguous and of one width, starting at the first event's
+    timestamp. ``actives`` counts distinct active members per window from
+    ``windows`` and ``nodes``, so every member set lines up window for window.
     """
 
-    window_seconds: int
-    t0: int
     totals: np.ndarray
     windows: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
@@ -33,11 +28,12 @@ class EventSeries:
     def num_windows(self) -> int:
         return int(len(self.totals))
 
-    @cached_property
-    def actives(self) -> np.ndarray:
-        """Distinct nodes per window: sort by window then node, count first occurrences."""
-        order = np.lexsort((self.nodes, self.windows))
-        windows, nodes = self.windows[order], self.nodes[order]
+    def actives(self, members: Iterable[int]) -> np.ndarray:
+        """Distinct ``members`` (any iterable of node ids) active in each window."""
+        keep = np.isin(self.nodes, np.fromiter(members, dtype=np.int64))
+        windows, nodes = self.windows[keep], self.nodes[keep]
+        order = np.lexsort((nodes, windows))
+        windows, nodes = windows[order], nodes[order]
         first = np.ones(len(windows), dtype=bool)
         first[1:] = (windows[1:] != windows[:-1]) | (nodes[1:] != nodes[:-1])
         return np.bincount(windows[first], minlength=self.num_windows)
@@ -51,18 +47,12 @@ class SpikeReport:
     zscores: tuple[float, ...]
 
 
-def bin_events(
-    events: np.ndarray | Sequence[tuple[int, int]],
-    window_seconds: int,
-    node_filter: Iterable[int] | None = None,
-) -> EventSeries:
-    """Bin (timestamp, node) events into fixed windows.
+def bin_events(events: np.ndarray | Sequence[tuple[int, int]], window_seconds: int) -> EventSeries:
+    """Bin (timestamp, node) events into windows ``window_seconds`` wide.
 
     ``events`` is an (N, 2) int64 array of ``[stamp, node]`` rows, or any
-    sequence of such pairs; the order does not matter. The window span
-    always covers the full event stream, so series produced with different
-    filters line up window for window. ``totals`` counts filtered events per
-    window, ``actives`` distinct filtered nodes (on first read).
+    sequence of such pairs; the order does not matter. ``totals`` counts all
+    events per window, ``actives(members)`` distinct members.
     """
     if window_seconds < 1:
         raise ValueError("window must be at least one second")
@@ -79,13 +69,8 @@ def bin_events(
         windows = (offsets // np.uint64(window_seconds)).astype(np.intp)
     else:
         windows = np.zeros(len(stamps), dtype=np.intp)
-    if node_filter is not None:
-        keep = np.isin(nodes, np.fromiter(node_filter, dtype=np.int64))
-        windows, nodes = windows[keep], nodes[keep]
-    return EventSeries(
-        window_seconds=window_seconds, t0=t0,
-        totals=np.bincount(windows, minlength=num_windows), windows=windows, nodes=nodes,
-    )
+    return EventSeries(totals=np.bincount(windows, minlength=num_windows), windows=windows,
+                       nodes=nodes)
 
 
 def sample_control_nodes(boundary: Iterable[int], num_nodes: int, seed: int = 0) -> set[int]:
@@ -102,20 +87,14 @@ def sample_control_nodes(boundary: Iterable[int], num_nodes: int, seed: int = 0)
     return {population[int(i)] for i in picks}
 
 
-def control_series(
-    events: np.ndarray | Sequence[tuple[int, int]],
-    boundary: Iterable[int],
-    num_nodes: int,
-    window_seconds: int,
-    seed: int = 0,
-) -> EventSeries:
-    """Activity series of a random node set the same size as the boundary set.
+def control_series(series: EventSeries, boundary: Iterable[int], num_nodes: int,
+                   seed: int = 0) -> np.ndarray:
+    """Active counts per window of ``series`` for a random node set the boundary set's size.
 
     The sample excludes boundary nodes so the comparison is sharp, and is
     deterministic given the seed.
     """
-    control = sample_control_nodes(boundary, num_nodes, seed)
-    return bin_events(events, window_seconds, node_filter=control)
+    return series.actives(sample_control_nodes(boundary, num_nodes, seed))
 
 
 def detect_spikes(series: Sequence[float],

@@ -249,18 +249,16 @@ def test_criterion_7_temporal_spike_reproduction():
     for i, b in enumerate(sorted(boundary)):
         for r in range(5):
             events.append((13 * 60 + 1 + (5 * i + r) % 58, b))
-    totals = bin_events(events, 60)
-    boundary_active = bin_events(events, 60, node_filter=boundary)
-    total_spikes = detect_spikes(totals.totals, z_threshold=3.0)
-    boundary_spikes = detect_spikes(boundary_active.actives, z_threshold=3.0)
+    series = bin_events(events, 60)
+    total_spikes = detect_spikes(series.totals, z_threshold=3.0)
+    boundary_spikes = detect_spikes(series.actives(boundary), z_threshold=3.0)
     same_window = (13 in total_spikes.spike_windows
                    and 13 in boundary_spikes.spike_windows)
 
     num_nodes = len(boundary) + len(background)
-    control_a = control_series(events, boundary, num_nodes, 60, seed=5)
-    control_b = control_series(events, boundary, num_nodes, 60, seed=5)
-    deterministic = (np.array_equal(control_a.actives, control_b.actives)
-                     and np.array_equal(control_a.totals, control_b.totals))
+    control_a = control_series(series, boundary, num_nodes, seed=5)
+    control_b = control_series(series, boundary, num_nodes, seed=5)
+    deterministic = np.array_equal(control_a, control_b)
     ok = same_window and deterministic
     report(7, ok,
            f"boundary-driven burst window 13 flagged by totals "

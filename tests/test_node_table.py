@@ -213,9 +213,10 @@ def test_temporal_csv_matches_per_row_loop(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
     labels = detect_all_communities(g, seed=2)[0].labels
     boundary = boundary_edges(g, labels).boundary_nodes
-    totals = bin_events(events, 45).totals
-    active = bin_events(events, 45, node_filter=boundary).actives
-    control = control_series(events, boundary, g.num_nodes, 45, seed=2).actives
+    series = bin_events(events, 45)
+    totals = series.totals
+    active = series.actives(boundary)
+    control = control_series(series, boundary, g.num_nodes, seed=2)
     expected = ("# seed=2 window=45 q_threshold=0.3 z_threshold=3.0\n"
                 "window_index,total,boundary_active,control_active\n")
     for w in range(len(totals)):

@@ -1,4 +1,5 @@
-"""The package starts numpy without an OpenBLAS thread pool, and calls no BLAS."""
+"""The package starts numpy without an OpenBLAS thread pool or ``numpy.ma``, and calls
+no BLAS."""
 
 import ast
 import os
@@ -11,6 +12,7 @@ import pytest
 import boundary_vicinity
 
 PACKAGE = Path(boundary_vicinity.__file__).parent
+KARATE = Path(__file__).parent / "data" / "karate.edges"
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
 
 
@@ -25,6 +27,22 @@ def test_import_sets_openblas_threads_unless_set(preset, expected):
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == expected
+
+
+@pytest.mark.parametrize("command", ["pipeline", "boundary"])
+def test_command_leaves_numpy_ma_unimported(command, tmp_path):
+    """``numpy.ma`` costs about 10 ms to import, and neither command needs it."""
+    labels = tmp_path / "labels.csv"
+    labels.write_text("".join(f"{v},{v // 17}\n" for v in range(34)))
+    argv = [command, "--input", str(KARATE), "--out", str(tmp_path)]
+    argv += ["--labels", str(labels)] if command == "boundary" else []
+    probe = ("import sys; from boundary_vicinity.cli import main; "
+             f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def blas_uses(tree: ast.AST):

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,64 +11,60 @@ from boundary_vicinity import (
 )
 
 
-def bin_events_reference(events, window_seconds, node_filter=None):
-    """The per-event binning loop: one Python set of active nodes per window."""
+def bin_events_reference(events, window_seconds, members):
+    """The per-event binning loop: event totals, and one Python set of active members,
+    per window."""
     stamps = [int(t) for t, _ in events]
     t0 = min(stamps)
     num_windows = (max(stamps) - t0) // window_seconds + 1
-    totals = np.zeros(num_windows, dtype=np.int64)
+    totals = [0] * num_windows
     seen = [set() for _ in range(num_windows)]
     for t, node in events:
-        if node_filter is not None and node not in node_filter:
-            continue
         w = (int(t) - t0) // window_seconds
         totals[w] += 1
-        seen[w].add(node)
-    actives = np.array([len(s) for s in seen], dtype=np.int64)
-    return SimpleNamespace(window_seconds=window_seconds, t0=t0, totals=totals, actives=actives,
-                           num_windows=num_windows)
+        if node in members:
+            seen[w].add(node)
+    return totals, [len(s) for s in seen]
 
 
 def test_bin_counts_distinct_actives():
     events = [(100, 7), (110, 7), (150, 7)]
-    series = bin_events(events, 60, node_filter={7})
+    series = bin_events(events, 60)
     assert series.totals.tolist() == [3]
-    assert "actives" not in vars(series)  # computed on first read only
-    assert series.actives.tolist() == [1]
+    assert series.actives({7}).tolist() == [1]
 
 
 def test_bin_empty_filter_keeps_time_span():
     events = [(0, 1), (250, 2)]
-    series = bin_events(events, 60, node_filter=set())
+    series = bin_events(events, 60)
     assert series.num_windows == 5
-    assert series.totals.tolist() == [0] * 5
-    assert series.actives.tolist() == [0] * 5
+    assert series.totals.tolist() == [1, 0, 0, 0, 1]
+    assert series.actives(set()).tolist() == [0] * 5
 
 
 def test_bin_uniform_stream_arithmetic():
     events = [(t, t % 10) for t in range(600)]
     series = bin_events(events, 60)
     assert series.totals.tolist() == [60] * 10
-    assert series.actives.tolist() == [10] * 10
+    assert series.actives(range(10)).tolist() == [10] * 10
 
 
 def test_bin_unsorted_input_allowed():
     events = [(500, 1), (0, 2), (250, 3)]
     series = bin_events(events, 100)
-    assert series.t0 == 0
-    assert series.totals.sum() == 3
+    assert series.totals.tolist() == [1, 0, 1, 0, 0, 1]  # windows start at the least stamp
 
 
 def test_bin_actives_bounded_by_totals_and_filter():
     rng = np.random.default_rng(0)
     events = [(int(t), int(n)) for t, n in
               zip(rng.integers(0, 1000, 500), rng.integers(0, 20, 500))]
-    node_filter = {0, 1, 2, 3, 4}
-    series = bin_events(events, 50, node_filter=node_filter)
-    assert np.all(series.actives <= series.totals)
-    assert np.all(series.actives <= len(node_filter))
-    unfiltered = bin_events(events, 50)
-    assert unfiltered.totals.sum() == 500
+    members = {0, 1, 2, 3, 4}
+    series = bin_events(events, 50)
+    actives = series.actives(members)
+    assert np.all(actives <= series.totals)
+    assert np.all(actives <= len(members))
+    assert series.totals.sum() == 500
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -85,16 +80,15 @@ def test_bin_matches_per_event_reference(seed):
     present = sorted(set(nodes.tolist()))
     absent = {top + 1, top + 2}
     window = int(rng.integers(1, 700))
-    filters = [None, set(), set(present[::3]), absent, set(present[1::2]) | absent]
-    for node_filter in filters:
-        expected = bin_events_reference(pairs, window, node_filter)
-        for events in (pairs, np.array(pairs, dtype=np.int64)):
-            got = bin_events(events, window, node_filter=node_filter)
-            assert got.t0 == expected.t0
-            assert got.num_windows == expected.num_windows
-            assert got.window_seconds == window
-            assert got.totals.tolist() == expected.totals.tolist()
-            assert got.actives.tolist() == expected.actives.tolist()
+    member_sets = [set(present), set(), set(present[::3]), absent,
+                   set(present[1::2]) | absent]
+    for events in (pairs, np.array(pairs, dtype=np.int64)):
+        series = bin_events(events, window)
+        for members in member_sets:
+            totals, actives = bin_events_reference(pairs, window, members)
+            assert series.num_windows == len(totals)
+            assert series.totals.tolist() == totals
+            assert series.actives(members).tolist() == actives
 
 
 def test_bin_span_beyond_int64_offsets():
@@ -103,10 +97,9 @@ def test_bin_span_beyond_int64_offsets():
     events = np.array([[hi, 1], [lo, 2], [lo + 5, 2], [0, 3]], dtype=np.int64)
     window = 2**62
     series = bin_events(events, window)
-    assert series.t0 == lo
     assert series.num_windows == (hi - lo) // window + 1 == 4
     assert series.totals.tolist() == [2, 0, 1, 1]
-    assert series.actives.tolist() == [1, 0, 1, 1]
+    assert series.actives({1, 2, 3}).tolist() == [1, 0, 1, 1]
     assert bin_events(events, 2**70).totals.tolist() == [4]
 
 
@@ -125,11 +118,11 @@ def test_control_deterministic():
     a = sample_control_nodes({1, 2}, 50, seed=9)
     b = sample_control_nodes({1, 2}, 50, seed=9)
     assert a == b
-    events = [(t, t % 50) for t in range(200)]
-    s1 = control_series(events, {1, 2}, 50, 60, seed=9)
-    s2 = control_series(events, {1, 2}, 50, 60, seed=9)
-    assert np.array_equal(s1.actives, s2.actives)
-    assert np.array_equal(s1.totals, s2.totals)
+    series = bin_events([(t, t % 50) for t in range(200)], 60)
+    s1 = control_series(series, {1, 2}, 50, seed=9)
+    s2 = control_series(series, {1, 2}, 50, seed=9)
+    assert np.array_equal(s1, s2)
+    assert np.array_equal(s1, series.actives(a))
 
 
 def test_control_seed_reduced_mod_2_64():
@@ -207,13 +200,11 @@ def test_boundary_spike_found_in_boundary_and_total_series():
     for i, b in enumerate(sorted(boundary)):
         for r in range(4):
             events.append((6 * 60 + 20 + (4 * i + r) % 39, b))
-    totals = bin_events(events, 60)
-    boundary_active = bin_events(events, 60, node_filter=boundary)
-    total_report = detect_spikes(totals.totals)
-    boundary_report = detect_spikes(boundary_active.actives)
+    series = bin_events(events, 60)
+    total_report = detect_spikes(series.totals)
+    boundary_report = detect_spikes(series.actives(boundary))
     assert total_report.spike_windows == (6,)
     assert boundary_report.spike_windows == (6,)
     # control nodes were never co-activated, so their series stays flat
-    control = control_series(events, boundary, 100, 60, seed=3)
-    control_report = detect_spikes(control.actives)
+    control_report = detect_spikes(control_series(series, boundary, 100, seed=3))
     assert 6 not in control_report.spike_windows
