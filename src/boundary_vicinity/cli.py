@@ -132,7 +132,8 @@ def _read_labels(path: str, g: Graph) -> np.ndarray:
 def _read_scores(path: str) -> dict[str, float]:
     """Node score map from a CSV: the first field names the node, the last is its score.
 
-    Only the first data line may be a header: a line whose last field is not a number.
+    Only the first data line may be a header: a line whose last field is not a
+    number, as a NaN is not.
     """
     scores: dict[str, float] = {}
     with _reading(path) as handle:
@@ -141,9 +142,11 @@ def _read_scores(path: str) -> dict[str, float]:
             try:
                 value = float(rest.rpartition(",")[2])
             except ValueError:
+                value = math.nan
+            if math.isnan(value):
                 if index == 0:
                     continue  # the header
-                raise InputError(f"{path}: line {number}: no numeric score in {text!r}") from None
+                raise InputError(f"{path}: line {number}: no numeric score in {text!r}")
             if name in scores:
                 raise InputError(f"{path}: line {number}: node {name!r} is listed twice")
             scores[name] = value

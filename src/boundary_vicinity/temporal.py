@@ -97,6 +97,21 @@ def control_series(series: EventSeries, boundary: Iterable[int], num_nodes: int,
     return series.actives(sample_control_nodes(boundary, num_nodes, seed))
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D array, from one sort: ``np.median`` imports ``numpy.ma``.
+
+    The middle value, or the mean (a + b) / 2 of the two middle values; NaN
+    if any value is NaN. Only the sign of a zero median can differ.
+    """
+    ordered = np.sort(values)  # NaNs sort last
+    middle = len(ordered) // 2
+    if np.isnan(ordered[-1]):
+        return float("nan")
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return float((ordered[middle - 1] + ordered[middle]) / 2)
+
+
 def detect_spikes(series: Sequence[float],
                   z_threshold: float = DEFAULT_Z_THRESHOLD) -> SpikeReport:
     """Flag windows deviating above the series baseline by robust z-score.
@@ -110,8 +125,8 @@ def detect_spikes(series: Sequence[float],
     values = np.asarray(series, dtype=float)
     if len(values) < 5:
         raise ValueError(f"need at least 5 windows, got {len(values)}")
-    median = float(np.median(values))
-    mad = float(np.median(np.abs(values - median)))
+    median = _median(values)
+    mad = _median(np.abs(values - median))
     if mad == 0.0:
         zscores = np.select([values > median, values < median], [np.inf, -np.inf], 0.0)
     else:

@@ -186,7 +186,7 @@ def test_planted_labels_csv_matches_per_row_loop(tmp_path, kind, flags, make):
 
 def test_overlap_csv_matches_per_row_loop(tmp_path):
     a = [((7 * v) % 11) / 3 for v in range(30)]
-    b = [SPECIAL[v % 10] * (v + 1) for v in range(30)]
+    b = [SPECIAL[1 + v % 10] * (v + 1) for v in range(30)]  # no NaN: not a score
     for name, values in (("a", a), ("b", b)):
         (tmp_path / f"{name}.csv").write_text(
             "node_id,score\n" + "".join(f"{v},{x!r}\n" for v, x in enumerate(values)))

@@ -372,7 +372,9 @@ def test_overlap_different_node_sets_named_with_exit_2(tmp_path, capsys):
     ("0,1.0\nnode_id,betweenness\n", 2, "no numeric score in 'node_id,betweenness'"),
     ("# c\nnode_id,x,score\n\n4,0.5,2.0\n5\n", 5, "no numeric score in '5'"),
     ("node_id,b\n0,1.0\n# c\n0,2.0\n", 4, "node '0' is listed twice"),
-], ids=["bad-row-after-header", "header-not-first", "one-field-row", "listed-twice"])
+    ("node_id,b\n0,1.0\n1,nan\n", 3, "no numeric score in '1,nan'"),
+], ids=["bad-row-after-header", "header-not-first", "one-field-row", "listed-twice",
+        "nan-score"])
 def test_bad_score_row_named_with_exit_2(tmp_path, bridge_file, capsys, body, line,
                                          message):
     """Only the first data line may be a header; a later bad row stops the command."""

@@ -29,13 +29,22 @@ def test_import_sets_openblas_threads_unless_set(preset, expected):
     assert done.stdout.strip() == expected
 
 
-@pytest.mark.parametrize("command", ["pipeline", "boundary"])
+@pytest.mark.parametrize("command", ["pipeline", "boundary", "temporal"])
 def test_command_leaves_numpy_ma_unimported(command, tmp_path):
-    """``numpy.ma`` costs about 10 ms to import, and neither command needs it."""
+    """``numpy.ma`` costs about 10 ms to import, and no command needs it."""
     labels = tmp_path / "labels.csv"
     labels.write_text("".join(f"{v},{v // 17}\n" for v in range(34)))
-    argv = [command, "--input", str(KARATE), "--out", str(tmp_path)]
-    argv += ["--labels", str(labels)] if command == "boundary" else []
+    # two 6-cliques joined by one edge: 2 boundary nodes, so a control set exists
+    bridged = tmp_path / "bridged.edges"
+    bridged.write_text("5 6\n" + "".join(f"{a} {b}\n" for base in (0, 6)
+                                         for a in range(base, base + 6)
+                                         for b in range(a + 1, base + 6)))
+    events = tmp_path / "events.csv"
+    events.write_text("".join(f"{60 * t + v},{v}\n" for t in range(8) for v in range(12)))
+    argv = {"pipeline": ["--input", str(KARATE)],
+            "boundary": ["--input", str(KARATE), "--labels", str(labels)],
+            "temporal": ["--input", str(bridged), "--events", str(events)]}[command]
+    argv = [command, *argv, "--out", str(tmp_path)]
     probe = ("import sys; from boundary_vicinity.cli import main; "
              f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [

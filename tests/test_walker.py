@@ -267,13 +267,8 @@ def test_converged_walks_match_walk_at_a_time_definition(cfg):
             expected.converged, expected.psrf_value, expected.batches)
 
 
-@pytest.mark.parametrize("cfg", [
-    WalkConfig(walknum=5, stepnum=3, seed=4),
-    WalkConfig(walknum=5, stepnum=3, seed=4, **UNCONVERGED),
-])
-def test_bva_rounds_do_not_couple_origins(cfg):
-    """bva walks each origin on its own stream; each must get what it gets alone."""
-    g, labels, bset = graph_with_isolated_origin()
+def assert_bva_matches_per_origin(g, labels, bset, cfg):
+    """bva equals run_converged_walks run one origin at a time, bit for bit."""
     mask = community_mask(g, labels)
     sizes = np.bincount(labels)
     raw = np.zeros(g.num_nodes)
@@ -288,29 +283,58 @@ def test_bva_rounds_do_not_couple_origins(cfg):
         batches.append(batch.batches)
         last_psrf.append(batch.psrf_value)
     scores = bva(g, labels, bset, cfg)
-    assert np.array_equal(scores.raw, raw)
+    assert scores.raw.tobytes() == raw.tobytes()
     assert scores.walkers_used.tolist() == walkers_used
     assert scores.converged.tolist() == converged
     assert scores.batches.tolist() == batches
     assert scores.psrf.tolist() == last_psrf
+    return scores
+
+
+@pytest.mark.parametrize("cfg", [
+    WalkConfig(walknum=5, stepnum=3, seed=4),
+    WalkConfig(walknum=5, stepnum=3, seed=4, **UNCONVERGED),
+])
+def test_bva_rounds_do_not_couple_origins(cfg):
+    """bva walks each origin on its own stream; each must get what it gets alone."""
+    g, labels, bset = graph_with_isolated_origin()
+    scores = assert_bva_matches_per_origin(g, labels, bset, cfg)
     isolated = bset.boundary_nodes.tolist().index(60)
     assert scores.batches[isolated] == 1 and scores.converged[isolated]
-    assert len(set(batches)) > 1  # origins stop at different batches
+    assert len(set(scores.batches.tolist())) > 1  # origins stop at different batches
 
 
-def test_bva_runs_the_engine_once_per_boundary_node(monkeypatch):
-    """bva calls the module's run_converged_walks for each origin, in ascending order."""
+@pytest.mark.parametrize("cfg", [
+    WalkConfig(walknum=7, stepnum=3, seed=4),
+    WalkConfig(walknum=4, stepnum=1, seed=1),
+    WalkConfig(walknum=8, stepnum=5, seed=2**63 + 1),
+    WalkConfig(walknum=6, stepnum=4, seed=0, **UNCONVERGED),
+    WalkConfig(walknum=400, stepnum=3, seed=1),
+], ids=["odd-walknum", "walknum-4-stepnum-1", "seed-above-2^63", "unconverged", "walknum-400"])
+@pytest.mark.parametrize("chunk_entries", [
+    None, lambda entries: 2 * entries - 1, lambda entries: 4 * entries - 1, lambda entries: 1,
+], ids=["one-chunk", "chunks-of-1", "chunks-of-3", "one-column-rechecks"])
+def test_bva_matches_the_per_origin_reference(cfg, chunk_entries, monkeypatch):
+    """All origins' walks step together, in chunks of ascending origins, with the
+    bits of each origin's run_converged_walks; the isolated origin 60 among them.
+    With _CHUNK_ENTRIES at 1, each exact recheck takes one node column."""
     g, labels, bset = graph_with_isolated_origin()
-    engine = walker.run_converged_walks
-    starts = []
+    entries = cfg.walknum * cfg.max_batches * (cfg.stepnum + 1)  # one origin's at most
+    if chunk_entries is None:
+        assert walker._CHUNK_ENTRIES // entries >= len(bset.boundary_nodes)
+    else:
+        monkeypatch.setattr(walker, "_CHUNK_ENTRIES", chunk_entries(entries))
+    scores = assert_bva_matches_per_origin(g, labels, bset, cfg)
+    assert scores.walkers_used[bset.boundary_nodes.tolist().index(60)] == cfg.walknum
 
-    def recording(mask, start, cfg):
-        starts.append(start)
-        return engine(mask, start, cfg)
 
-    monkeypatch.setattr(walker, "run_converged_walks", recording)
-    bva(g, labels, bset, WalkConfig(walknum=5, stepnum=3, seed=4))
-    assert starts == bset.boundary_nodes.tolist()
+def test_bva_psrf_is_one_when_no_walk_varies():
+    """Two-node communities: every walk of an origin is the same path."""
+    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    scores = assert_bva_matches_per_origin(g, labels, boundary_edges(g, labels),
+                                           WalkConfig(walknum=6, stepnum=3, seed=0))
+    assert scores.psrf.tolist() == [1.0] * 4 and scores.batches.tolist() == [1] * 4
 
 
 def test_bva_seeds_keep_every_bit():
