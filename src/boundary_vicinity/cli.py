@@ -334,7 +334,10 @@ def cmd_temporal(args) -> int:
     events = _read_events(args.events, g)
     labeling, _ = detect_all_communities(g, seed=args.seed, q_threshold=args.q_threshold)
     boundary_nodes = boundary_edges(g, labeling.labels).boundary_nodes
-    series = bin_events(events, args.window)
+    try:
+        series = bin_events(events, args.window)
+    except ValueError as exc:
+        raise InputError(f"{args.events}: {exc}") from None
     boundary_active = series.actives(boundary_nodes)
     control_active = control_series(series, boundary_nodes, g.num_nodes, seed=args.seed)
     report = {

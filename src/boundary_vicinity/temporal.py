@@ -69,8 +69,12 @@ def bin_events(events: np.ndarray | Sequence[tuple[int, int]], window_seconds: i
         windows = (offsets // np.uint64(window_seconds)).astype(np.intp)
     else:
         windows = np.zeros(len(stamps), dtype=np.intp)
-    return EventSeries(totals=np.bincount(windows, minlength=num_windows), windows=windows,
-                       nodes=nodes)
+    try:
+        totals = np.bincount(windows, minlength=num_windows)
+    except (MemoryError, OverflowError):  # numpy cannot allocate or index that many counts
+        raise ValueError(f"the events span {span} s, {num_windows} windows of "
+                         f"{window_seconds} s: more than numpy can allocate") from None
+    return EventSeries(totals=totals, windows=windows, nodes=nodes)
 
 
 def sample_control_nodes(boundary: Iterable[int], num_nodes: int, seed: int = 0) -> set[int]:

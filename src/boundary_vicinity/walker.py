@@ -23,13 +23,8 @@ from .community import community_mask
 from .graph import Graph
 
 # bva walks origins in chunks of _CHUNK_ENTRIES // (walknum * max_batches * (stepnum + 1))
-# (at least one), so a round's paths, visit keys and recheck matrix stay below about
-# this many entries each
+# (at least one), so a round's paths and visit keys stay below about this many entries each
 _CHUNK_ENTRIES = 1 << 20
-# nodes whose approximate PSRF lies within this relative distance of their origin's
-# largest get psrf's own arithmetic; that and the approximation each lie within
-# about 1e-13 of the exact value
-_RECHECK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -152,33 +147,34 @@ def psrf(batch: WalkBatch) -> float:
 
     Walkers split into two equal chains in arrival order; an odd trailing
     walk is left out. Per node: W is the mean within-chain variance, B/n
-    the variance of chain means, and the pooled estimate
-    V = ((n-1)/n) W + B/n gives sqrt(V / W). Returns the maximum over nodes
-    with W > 0; when no node varies within chains there is nothing left to
-    learn and the result is exactly 1. This is the one-origin definition
-    that ``bva``'s batched diagnostic is tested against.
+    the variance of chain means, and the pooled estimate V = ((n-1)/n) W +
+    B/n gives sqrt(V / W) (see ``_moment_psrf``). Returns the maximum over
+    nodes with W > 0; when no node varies within chains there is nothing
+    left to learn and the result is exactly 1. This is the one-origin
+    definition that ``bva``'s batched diagnostic is tested against.
     """
     n = batch.num_walks // 2
     if n < 2:
         raise ValueError("each chain needs at least 2 walks")
-    values = _chain_psrf(batch.visits[:2 * n].reshape(2, n, -1).astype(float))
-    return float(values.max()) if len(values) else 1.0
+    chains = batch.visits[:2 * n].reshape(2, n, -1)
+    top = _moment_psrf(n, chains.sum(axis=1), (chains * chains).sum(axis=(0, 1))).max(initial=0.0)
+    return float(top) if top > 0 else 1.0
 
 
-def _chain_psrf(chains: np.ndarray) -> np.ndarray:
-    """sqrt(V / W) of each column of ``chains`` (2 chains, n walks, columns) with W > 0.
+def _moment_psrf(n: int, sums: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """sqrt(V / W) per node from its chain sums S0, S1 (``sums``, 2 × nodes) and
+    ``squares``, its count squared summed over both chains' 2n walks.
 
-    Every sum over walks runs down a column on its own, in walk order, as
-    long as there are at least two columns; so a column's value does not
-    depend on the other columns.
+    With D = S0 - S1 and Q = n·squares - S0² - S1², V / W = (n-1)/n · (1 + D²/Q),
+    never below (n-1)/n; W > 0 exactly when Q > 0, and nodes with W = 0 get 0.
+    Visit counts make every input an integer below 2^53, exact in int64 and
+    float64 and in any summation order, so equal counts give equal bits.
     """
-    n = chains.shape[1]
-    within = chains.var(axis=1, ddof=1).mean(axis=0)
-    means = chains.mean(axis=1)
-    between_over_n = means.var(axis=0, ddof=1)
-    active = within > 0.0
-    pooled = (n - 1) / n * within[active] + between_over_n[active]
-    return np.sqrt(pooled / within[active])
+    q = n * squares - sums[0] ** 2 - sums[1] ** 2
+    active = q > 0
+    values = np.zeros(len(q))
+    values[active] = np.sqrt((n - 1) / n * (1 + (sums[0] - sums[1])[active] ** 2 / q[active]))
+    return values
 
 
 def _walk_paths(
@@ -271,12 +267,8 @@ def _sparse_psrf(paths: np.ndarray, num_nodes: int):
 
     ``paths`` is (origins, walks, stepnum + 1): row o holds origin o's walks
     so far, in arrival order. The visits are counted with one sort of
-    (origin, node, walk) keys. Exact integer sums per (origin, node, chain)
-    then give each node's value up to rounding: with D the difference of
-    the two chain sums and Q = n·(sum of squares) - (each chain sum squared),
-    V/W = (n-1)/n · (1 + D²/Q), and W > 0 exactly when Q > 0. ``psrf``'s own
-    arithmetic is re-run on the nodes within ``_RECHECK_RTOL`` of their
-    origin's largest value only.
+    (origin, node, walk) keys, and summed per (origin, node, chain) for
+    ``_moment_psrf``.
 
     Returns the value per origin, then one (origin, node, visits) row per
     visited node, ascending.
@@ -296,34 +288,10 @@ def _sparse_psrf(paths: np.ndarray, num_nodes: int):
     chain = np.minimum(walk // n, 2)  # chain 2 is an odd trailing walk, left out
     sums = np.bincount(group * 3 + chain, weights=count, minlength=3 * len(cell)).reshape(-1, 3)
     squares = np.bincount(group[chain < 2], weights=count[chain < 2] ** 2, minlength=len(cell))
-    q = n * squares - sums[:, 0] ** 2 - sums[:, 1] ** 2
-    active = q > 0
-    approx = np.zeros(len(cell))
-    approx[active] = np.sqrt((n - 1) / n * (
-        1 + (sums[active, 0] - sums[active, 1]) ** 2 / q[active]))
     owner = cell // num_nodes
-    top = np.maximum.reduceat(approx, np.flatnonzero(np.diff(owner, prepend=-1)))
-    near = active & (approx >= top[owner] * (1 - _RECHECK_RTOL))
-
-    value = np.ones(origins)  # no node varies within chains: exactly 1
-    if near.any():
-        column = np.cumsum(near) - 1
-        take = near[group] & (chain < 2)
-        rows, cols, cells = walk[take], column[group[take]], count[take]
-        total, width = int(column[-1]) + 1, max(1, _CHUNK_ENTRIES // (2 * n) - 1)
-        exact = []
-        for lo in range(0, total, width):
-            part = (cols >= lo) & (cols < lo + width)
-            # one all-zero column more keeps every sum over walks running down its
-            # column in walk order, as on the full matrix; numpy would sum a lone
-            # column pairwise, which rounds differently
-            dense = np.zeros((2 * n, min(width, total - lo) + 1))
-            dense[rows[part], cols[part] - lo] = cells[part]
-            exact.append(_chain_psrf(dense.reshape(2, n, -1)))
-        holder = owner[near]
-        edges = np.flatnonzero(np.diff(holder, prepend=-1))
-        value[holder[edges]] = np.maximum.reduceat(np.concatenate(exact), edges)
-    return value, owner, cell % num_nodes, sums.sum(axis=1)
+    top = np.maximum.reduceat(_moment_psrf(n, sums[:, :2].T, squares),
+                              np.flatnonzero(np.diff(owner, prepend=-1)))
+    return np.where(top > 0, top, 1.0), owner, cell % num_nodes, sums.sum(axis=1)
 
 
 def _converge_together(mask: Graph, starts: np.ndarray, cfg: WalkConfig):

@@ -59,18 +59,18 @@ EXPECTED = {
     'pipeline-csv': '0',
     'pipeline-csv/boundary.csv': '25d5d5468a85d8c0e9af8970a1eae6a88dca6671f6279ee0df3fda46c55baa94',
     'pipeline-csv/communities.csv': '911a8afc019d741f9f7d81be637978e12681310f64cb5824493af54d00f156c8',
-    'pipeline-csv/manifest.json': '6e8a2a36fd8f55d225028f53f9930e29960f60e8ab1803ded87a038407d08e0a',
+    'pipeline-csv/manifest.json': '9d2ddd860b85968dbdf4fb7a106e719b3774e2617f4534136c62d637438ba680',
     'pipeline-csv/scores.csv': 'd79103ebfaaf1285b5dd537f4fd0aba9e0aca806a83c26fc14e17422730fee5a',
     'pipeline-json': '0',
     'pipeline-json/boundary.csv': '340a3691331c00ae01d19b4a95345ccee0bff1353b7c50afad2413f70fe37252',
     'pipeline-json/communities.csv': '15c07a426f0ab8e0440e059bb47458c361486039c9b0fcbf6ff2a15464aa754f',
-    'pipeline-json/manifest.json': 'c19a3021db2d4ea65d54d20e226baf0ba1844c11023a80f11ed170f614c67198',
+    'pipeline-json/manifest.json': '7d15c784ea07cb19cffe105fb7f158a8859bdd6675ee236eaabf448972f12db6',
     'pipeline-json/scores.csv': '78e97cd3d1b6d2b709ddb7e56ed88e55cf894abbac961f70a552d6907796ff1c',
     'pipeline-json/scores.json': '2a09ee45b3546e34a0a041574183e5ec9a699a90ccce3fe5a59ac9f8c22236f7',
     'pipeline-dot': '0',
     'pipeline-dot/boundary.csv': '6837884d8b1f7038bfc2fad61332355db8112c0608b50105ad9bffb4f4c799bc',
     'pipeline-dot/communities.csv': 'e9ebb2a18017963d4259170c82f82c5efffe91ad8dfb9656aedef2733c3451c8',
-    'pipeline-dot/manifest.json': '6e8a2a36fd8f55d225028f53f9930e29960f60e8ab1803ded87a038407d08e0a',
+    'pipeline-dot/manifest.json': '9d2ddd860b85968dbdf4fb7a106e719b3774e2617f4534136c62d637438ba680',
     'pipeline-dot/scores.csv': 'a1d0cc0a7af94d6e1f28f61a031291722e326f0a4d242d36748d30f22018a6de',
     'pipeline-dot/scores.dot': '60d76b4453b4e9ff55de3100648826e29e03cd7792b5c9617fa245c07ca7822b',
     'pipeline-narrow': '3',

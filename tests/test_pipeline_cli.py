@@ -656,6 +656,24 @@ def test_temporal_too_few_windows_exits_2_and_writes_nothing(tmp_path, bridge_fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("first,last,window,windows", [
+    (0, 10**18, 60, 16666666666666667),  # epoch milliseconds read as seconds
+    (-2**63, 2**63 - 1, 1, 2**64),
+], ids=["milliseconds-as-seconds", "full-int64-span"])
+def test_temporal_span_numpy_cannot_bin_exits_2_and_writes_nothing(
+        tmp_path, bridge_file, capsys, first, last, window, windows):
+    """numpy refuses these windows' counts outright: 118 PiB, then more than intp holds."""
+    events = tmp_path / "events.csv"
+    events.write_text(f"{first},0\n{last},1\n")
+    out = tmp_path / "out"
+    code = main(["temporal", "--input", str(bridge_file), "--events", str(events),
+                 "--window", str(window), "--q-threshold", "0.2", "--out", str(out)])
+    assert code == 2
+    assert (f"error: {events}: the events span {last - first} s, {windows} windows of "
+            f"{window} s") in capsys.readouterr().err
+    assert not (out / "temporal.csv").exists() and not (out / "spikes.json").exists()
+
+
 def test_run_pipeline_api_matches_cli(bridge_file, tmp_path):
     with open(bridge_file) as handle:
         g = load_edge_list(handle)

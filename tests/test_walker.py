@@ -5,6 +5,10 @@ probability, giving exact expected visit counts (and second moments)
 independently of how the sampler is implemented.
 """
 
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -156,6 +160,72 @@ def test_psrf_leaves_out_odd_trailing_walk():
     assert value != psrf(WalkBatch(visits=visits[1:], nodes=np.arange(3)))
     with pytest.raises(ValueError):
         psrf(WalkBatch(visits=np.zeros((3, 2)), nodes=np.arange(2)))  # chains of 1
+
+
+def random_visits(rng, low, high):
+    """Poisson visit counts: low to high walks, each of 2 to 5 columns its own mean."""
+    walks, columns = int(rng.integers(low, high + 1)), int(rng.integers(2, 6))
+    return rng.poisson(rng.uniform(0.05, 4.0, columns), size=(walks, columns))
+
+
+def varies_within_chains(visits):
+    n = len(visits) // 2
+    chains = visits[:2 * n].reshape(2, n, -1)
+    return (chains.min(axis=1) < chains.max(axis=1)).any(axis=0)
+
+
+def test_psrf_of_a_column_does_not_depend_on_the_others():
+    """psrf is the largest psrf of the columns that vary within chains, each taken
+    alone; an all-zero column more or the columns reversed keep its bits."""
+    rng = np.random.default_rng(24)
+    for _ in range(300):
+        visits = random_visits(rng, 4, 1000)
+        value = psrf(WalkBatch(visits, np.arange(visits.shape[1])))
+        alone = [psrf(WalkBatch(visits[:, [j]], np.arange(1)))
+                 for j in np.flatnonzero(varies_within_chains(visits))]
+        assert value == max(alone, default=1.0)
+        padded = np.hstack([visits, np.zeros((len(visits), 1), dtype=visits.dtype)])
+        assert psrf(WalkBatch(padded, np.arange(padded.shape[1]))) == value
+        assert psrf(WalkBatch(visits[:, ::-1], np.arange(visits.shape[1]))) == value
+
+
+def exact_psrf(visits):
+    """The largest sqrt(V / W) over columns with W > 0 from rational W and B / n and a
+    50-digit square root; None when no column has W > 0."""
+    n = len(visits) // 2
+    values = []
+    for column in visits[:2 * n].T.tolist():
+        chains = [column[:n], column[n:]]
+        means = [Fraction(sum(chain), n) for chain in chains]
+        within = sum(sum((x - mean) ** 2 for x in chain) / (n - 1)
+                     for chain, mean in zip(chains, means)) / 2
+        if within > 0:
+            between_over_n = (means[0] - means[1]) ** 2 / 2
+            ratio = (Fraction(n - 1, n) * within + between_over_n) / within
+            with localcontext() as context:
+                context.prec = 50
+                values.append((Decimal(ratio.numerator) / Decimal(ratio.denominator)).sqrt())
+    return max(values, default=None)
+
+
+def test_psrf_matches_exact_arithmetic():
+    """Within 2^-51 relative of the exact value, odd walk counts included, and never
+    below sqrt((n-1)/n) when some column varies within chains."""
+    rng = np.random.default_rng(51)
+    odd = 0
+    for _ in range(400):
+        visits = random_visits(rng, 4, 120)
+        odd += len(visits) % 2
+        value, exact = psrf(WalkBatch(visits, np.arange(visits.shape[1]))), exact_psrf(visits)
+        if exact is None:
+            assert value == 1.0
+            continue
+        with localcontext() as context:
+            context.prec = 50
+            assert abs(Decimal(value) - exact) <= exact * Decimal(2) ** -51
+        n = len(visits) // 2
+        assert value >= math.sqrt((n - 1) / n)
+    assert odd > 100
 
 
 def test_converged_walks_isolated_origin_one_batch():
@@ -313,11 +383,11 @@ def test_bva_rounds_do_not_couple_origins(cfg):
 ], ids=["odd-walknum", "walknum-4-stepnum-1", "seed-above-2^63", "unconverged", "walknum-400"])
 @pytest.mark.parametrize("chunk_entries", [
     None, lambda entries: 2 * entries - 1, lambda entries: 4 * entries - 1, lambda entries: 1,
-], ids=["one-chunk", "chunks-of-1", "chunks-of-3", "one-column-rechecks"])
+], ids=["one-chunk", "chunks-of-1", "chunks-of-3", "entries-of-1"])
 def test_bva_matches_the_per_origin_reference(cfg, chunk_entries, monkeypatch):
     """All origins' walks step together, in chunks of ascending origins, with the
     bits of each origin's run_converged_walks; the isolated origin 60 among them.
-    With _CHUNK_ENTRIES at 1, each exact recheck takes one node column."""
+    With _CHUNK_ENTRIES at 1, each chunk still takes one origin."""
     g, labels, bset = graph_with_isolated_origin()
     entries = cfg.walknum * cfg.max_batches * (cfg.stepnum + 1)  # one origin's at most
     if chunk_entries is None:
