@@ -295,6 +295,7 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    seed = args.seed % 2**64  # numpy takes no negative seed
     kind = args.part_kind if args.kind == "planted" else args.kind
     param = f"p={args.p}" if kind == "er" else f"m={args.m}"
 
@@ -307,13 +308,13 @@ def cmd_generate(args) -> int:
     try:
         if args.kind == "planted":
             recipe = (f"kind=planted parts={args.parts} part_kind={kind} "
-                      f"n={args.n} {param} k={args.k} seed={args.seed}")
-            parts = [make(args.seed * 7919 + i) for i in range(args.parts)]
-            planted = connect_communities(parts, args.k, seed=args.seed)
+                      f"n={args.n} {param} k={args.k} seed={seed}")
+            parts = [make(seed * 7919 + i) for i in range(args.parts)]
+            planted = connect_communities(parts, args.k, seed=seed)
             g = planted.graph
         else:
-            recipe = f"kind={kind} n={args.n} {param} seed={args.seed}"
-            g = make(args.seed)
+            recipe = f"kind={kind} n={args.n} {param} seed={seed}"
+            g = make(seed)
     except ValueError as exc:  # generate reads no input: its flags are at fault
         raise UsageError(str(exc)) from exc
     out = _out_dir(args)

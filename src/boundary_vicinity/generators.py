@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import boundary_edges
 from .graph import Graph, build_graph, connected_components
 
 STITCH_RETRY_LIMIT = 100
@@ -16,8 +17,8 @@ class PlantedNetwork:
     """A stitched multi-community graph with known ground truth.
 
     ``planted_labels`` gives each node the index of the part it came from;
-    ``planted_boundary`` lists, ascending, the sampled cross-linkers together
-    with the partners they were wired to. Both are read-only int64 arrays.
+    ``planted_boundary`` is their boundary nodes, ascending: the sampled
+    cross-linkers and their partners. Both are read-only int64 arrays.
     """
 
     graph: Graph
@@ -101,30 +102,20 @@ def connect_communities(
     for _ in range(STITCH_RETRY_LIMIT):
         # a cross edge joins two parts, so it can only repeat another cross edge
         cross: set[int] = set()
-        selected = [int(v) for v in rng.choice(total, size=k, replace=False)]
-        boundary = set(selected)
-        ok = True
-        for s in selected:
+        for s in rng.choice(total, size=k, replace=False).tolist():
             others = [i for i in range(len(parts)) if i != labels[s]]
-            partner = -1
             for _attempt in range(STITCH_RETRY_LIMIT):
                 p = others[int(rng.integers(len(others)))]
                 t = offsets[p] + int(rng.integers(parts[p].num_nodes))
                 key = min(s, t) * total + max(s, t)
                 if key not in cross:
                     cross.add(key)
-                    partner = t
                     break
-            if partner < 0:
-                ok = False
-                break
-            boundary.add(partner)
-        if not ok:
-            continue
-        keys = np.sort(np.concatenate([within_keys, np.fromiter(cross, np.int64, len(cross))]))
-        g = build_graph(total, np.stack(np.divmod(keys, total), axis=1))
-        if len(connected_components(g).components) == 1:
-            linked = np.sort(np.fromiter(boundary, np.int64, len(boundary)))
-            linked.flags.writeable = False
-            return PlantedNetwork(graph=g, planted_labels=labels, planted_boundary=linked)
+            else:
+                break  # s found no new partner: draw another selection
+        else:
+            keys = np.sort(np.concatenate([within_keys, np.fromiter(cross, np.int64, len(cross))]))
+            g = build_graph(total, np.stack(np.divmod(keys, total), axis=1))
+            if len(connected_components(g).components) == 1:
+                return PlantedNetwork(g, labels, boundary_edges(g, labels).boundary_nodes)
     raise ValueError(f"failed to build a connected stitching in {STITCH_RETRY_LIMIT} tries")

@@ -56,10 +56,6 @@ class Graph:
         indptr.flags.writeable = indices.flags.writeable = False
         return indptr, indices
 
-    def degree(self, v: int) -> int:
-        indptr = self.csr[0]
-        return int(indptr[v + 1] - indptr[v])
-
 
 @dataclass(frozen=True, eq=False)
 class ComponentPartition:
@@ -126,8 +122,8 @@ def load_edge_list(stream: TextIO | Iterable[str]) -> Graph:
     duplicate edges are dropped (the first copy of an edge is kept), with
     counts recorded on the returned graph.
 
-    Raises EdgeListParseError for lines without exactly two tokens, and
-    ValueError for empty input.
+    Raises EdgeListParseError for a line without exactly two tokens or
+    whose second token begins with ``#``, and ValueError for empty input.
     """
     ids: dict[str, int] = {}
     ends = array("q")
@@ -137,6 +133,8 @@ def load_edge_list(stream: TextIO | Iterable[str]) -> Graph:
             raise EdgeListParseError(
                 line_number, f"expected 2 node tokens, found {len(tokens)}: {text!r}"
             )
+        if tokens[1][0] == "#":  # a first token that begins with "#" makes a comment
+            raise EdgeListParseError(line_number, f"node token {tokens[1]!r} begins with '#'")
         ends.append(ids.setdefault(tokens[0], len(ids)))
         ends.append(ids.setdefault(tokens[1], len(ids)))
     if not ends:

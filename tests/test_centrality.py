@@ -142,8 +142,9 @@ def test_disconnected_pairs_contribute_nothing():
 
 def test_leaves_score_zero(karate):
     values = betweenness_brandes(karate)
+    degrees = np.diff(karate.csr[0])
     for v in range(karate.num_nodes):
-        if karate.degree(v) == 1:
+        if degrees[v] == 1:
             assert values[v] == 0.0
 
 

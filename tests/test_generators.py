@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -100,8 +101,7 @@ def test_pa_validates_inputs():
 
 def test_pa_hubs_emerge():
     g = preferential_attachment(200, 2, seed=1)
-    degrees = sorted(g.degree(v) for v in range(200))
-    assert degrees[-1] >= 15  # heavy tail, far above the mean of ~4
+    assert np.diff(g.csr[0]).max() >= 15  # heavy tail, far above the mean of ~4
 
 
 def test_stitch_two_triangles_minimal():
@@ -131,11 +131,45 @@ def test_stitch_boundary_matches_planted_labels():
     planted = connect_communities(parts, k=9, seed=4)
     bset = boundary_edges(planted.graph, planted.planted_labels)
     assert len(bset.boundary_edges) == 9
-    assert set(bset.boundary_nodes) == set(planted.planted_boundary)
+    assert np.array_equal(bset.boundary_nodes, planted.planted_boundary)
     # every boundary node has at least one edge into a different part
     for b in bset.boundary_nodes:
         labels = planted.planted_labels
         assert any(labels[w] != labels[b] for w in neighbors(planted.graph, b))
+
+
+def sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=np.int64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("parts,k,seed,edges_sha,boundary_sha", [
+    # a cross key drawn twice, then redrawn
+    pytest.param(2, 6, 1, "d616ed13da1e7be2c08b603a666bb9820489d121463f2a4b1530c98516bec16f",
+                 "f190072c5052f4f440d4a607c25f5bced487c420806c9aab4ca5b0653e72da61", id="repeat-1"),
+    pytest.param(2, 6, 2, "6c62ee1ed8743e47e1f2656990fb3d72cf6632510dee09b091c1308f4ddec6c4",
+                 "f190072c5052f4f440d4a607c25f5bced487c420806c9aab4ca5b0653e72da61", id="repeat-2"),
+    pytest.param(2, 6, 3, "d33b0d60b7d5f87c3898c16c2e5a664d9c6cb0f11f57ce24fa814e01a7758073",
+                 "f190072c5052f4f440d4a607c25f5bced487c420806c9aab4ca5b0653e72da61", id="repeat-3"),
+    pytest.param(2, 6, 4, "23da6cb8f8adc04111922d199bc2486a19d7880f55a61fc9c91aac90b0147ec6",
+                 "f190072c5052f4f440d4a607c25f5bced487c420806c9aab4ca5b0653e72da61", id="repeat-4"),
+    # a node finds no new partner in 100 tries: the selection is dropped and drawn again
+    pytest.param(2, 6, 5, "1ab37d3bfdd7880e3f7b1a8bacdf61076025a418043df12e4976a90c8fe448be",
+                 "f190072c5052f4f440d4a607c25f5bced487c420806c9aab4ca5b0653e72da61", id="dropped"),
+    # a disconnected stitching, drawn again
+    pytest.param(3, 2, 5, "5cc98aac602d4a57f5a0fcbd2dec076f3d7afac5e51c6b70907d3e2b8849a030",
+                 "acec11f67ad6cadfb841023ab4175fd62d8cabe9bc516b3891673b120896a2a1", id="split-5"),
+    pytest.param(3, 2, 6, "094420adbaea6ced797f11ab1e90010e2867a783db07757458800dc152754b1a",
+                 "72307e420b5460c03a1c167060ed336407c26ea74aabf8fab76dd8e9dbe8cbe4", id="split-6"),
+    pytest.param(3, 2, 7, "73ddd2b9754073826b14b12224ba83ed755f20d66758d1dbab605661ba1ba72d",
+                 "975dd942182a3763e34dc0e25be5e73fe01a546c53f79ff76ffdac1d9d8f4b31", id="split-7"),
+])
+def test_stitch_draws_are_pinned(parts, k, seed, edges_sha, boundary_sha):
+    # each case reaches one exit of the retry loops; a moved draw changes the hashes
+    planted = connect_communities([build_graph(3, [(0, 1), (1, 2), (0, 2)])] * parts, k, seed=seed)
+    assert sha256(planted.graph.edges) == edges_sha
+    assert sha256(planted.planted_boundary) == boundary_sha
+    assert planted.planted_boundary.dtype == np.int64
+    assert not planted.planted_boundary.flags.writeable
 
 
 def test_stitch_deterministic():
@@ -157,3 +191,7 @@ def test_stitch_validates_inputs():
         connect_communities([tri, tri, tri], k=1, seed=0)  # k < parts - 1
     with pytest.raises(ValueError):
         connect_communities([tri, build_graph(0, [])], k=1, seed=0)
+    # two one-node parts have one cross edge, so a second linker never finds a partner
+    one = build_graph(1, [])
+    with pytest.raises(ValueError, match="failed to build a connected stitching in 100 tries"):
+        connect_communities([one, one], k=2, seed=0)

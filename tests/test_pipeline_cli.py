@@ -399,6 +399,16 @@ def test_generate_er_deterministic(tmp_path):
     assert (out_a / "graph.edges").read_bytes() == (out_b / "graph.edges").read_bytes()
 
 
+@pytest.mark.parametrize("kind", [["er"], ["pa"], ["planted", "--part-kind", "pa"]])
+def test_generate_takes_its_seed_mod_2_64(tmp_path, kind):
+    written = []
+    for seed in ("-1", str(2**64 - 1)):
+        out = tmp_path / seed
+        assert main(["generate", *kind, "--n", "30", "--seed", seed, "--out", str(out)]) == 0
+        written.append(sorted((path.name, path.read_bytes()) for path in out.iterdir()))
+    assert written[0] == written[1]
+
+
 def test_generate_planted_sidecars(tmp_path):
     out = tmp_path / "out"
     assert main(["generate", "planted", "--n", "30", "--p", "0.2", "--k", "4",
@@ -488,7 +498,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
                   ["planted", "--k", "-1"], ["planted", "--parts", "4", "--k", "2"],
                   ["pa", "--n", "2", "--m", "3"], ["er", "--p", "1.5"], ["er", "--p", "-0.1"],
                   ["planted", "--n", "100", "--k", "1000"],
-                  ["planted", "--n", "5", "--k", "40"]):
+                  ["planted", "--n", "5", "--k", "40"],
+                  ["planted", "--part-kind", "er", "--n", "1", "--parts", "2", "--k", "2"]):
         assert main(["generate", *flags, "--out", str(out)]) == 1, flags
     assert not out.exists()
 
@@ -502,6 +513,16 @@ def test_malformed_input_exit_code(tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_text("0 1 2\n")
     assert main(["components", "--input", str(bad), "--out", str(tmp_path)]) == 2
+
+
+def test_node_token_starting_with_hash_exits_2_and_writes_nothing(tmp_path, capsys):
+    # "#d e" reads as a comment, so a kept "#d" could not be labelled in communities.csv
+    edges = tmp_path / "hash.edges"
+    edges.write_text("a b\nb c\nc a\nc #d\n#d e\ne f\nf #d\n")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(edges), "--out", str(out)]) == 2
+    assert f"{edges}: line 4: node token '#d' begins with '#'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_event_node_exit_code(tmp_path, bridge_file):
