@@ -71,9 +71,12 @@ class InputError(ValueError):
 
 @contextmanager
 def _reading(path: str):
-    """The input file at ``path``, open for one read; a read or decode error names it."""
+    """The input file at ``path``, open for one read; a read or decode error names it.
+
+    It is read as UTF-8, and a byte-order mark at its start is dropped.
+    """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             yield handle
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

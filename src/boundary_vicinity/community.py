@@ -15,6 +15,9 @@ DEFAULT_MIN_MODULARITY_GAIN = 1e-7
 # Partitions scoring below this are usually indistinguishable from noise;
 # graphs under the threshold are treated as having no community structure.
 DEFAULT_Q_THRESHOLD = 0.3
+# Level graphs with at least this many nodes take the colour-class move; below
+# it numpy's fixed cost per call makes the queue move faster (see README).
+COLOUR_MOVE_MIN_NODES = 4000
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +154,108 @@ def _one_level(level: _LevelGraph, rng: np.random.Generator) -> tuple[list[int],
     return comm, pops
 
 
-def _aggregate(level: _LevelGraph, comm: list[int]) -> tuple[_LevelGraph, np.ndarray]:
+def _rows(level: _LevelGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``nodes``' CSR entries, row after row, and each entry's row index."""
+    starts = level.indptr[nodes]
+    counts = level.indptr[nodes + 1] - starts
+    row = np.repeat(np.arange(len(nodes)), counts)
+    return np.arange(len(row)) + (starts - (np.cumsum(counts) - counts))[row], row
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``a`` begins."""
+    begins = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=begins[1:])
+    return np.flatnonzero(begins)
+
+
+def _colour_classes(level: _LevelGraph, rng: np.random.Generator) -> list[np.ndarray]:
+    """A distance-1 colouring by Jones-Plassmann rounds, one array of nodes per class.
+
+    Each round's class is every uncoloured node whose priority beats all its
+    uncoloured neighbours'. The priority ``degree * n + rng.permutation(n)``
+    is distinct per node and puts the largest degree first.
+    """
+    n = level.num_nodes
+    degree = np.diff(level.indptr)
+    priority = degree * n + rng.permutation(n)
+    rows = np.repeat(np.arange(n), degree)
+    # every edge once, as (its outranked end, its outranking end)
+    lower = priority[rows] < priority[level.neighbors]
+    losers, winners_of = rows[lower], level.neighbors[lower]
+    uncoloured = np.ones(n, dtype=bool)
+    classes = []
+    while uncoloured.any():
+        blocked = np.zeros(n, dtype=bool)
+        blocked[losers] = True
+        members = np.flatnonzero(uncoloured & ~blocked)
+        classes.append(members)
+        uncoloured[members] = False
+        keep = uncoloured[winners_of]
+        losers, winners_of = losers[keep], winners_of[keep]
+    return classes
+
+
+def _colour_level(level: _LevelGraph, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """The local move one colour class at a time; returns each node's community and
+    the number of nodes evaluated.
+
+    Nodes start alone and active. Each sweep takes the classes of
+    ``_colour_classes`` in order and moves all active members of a class at
+    once, each seeing the community totals as they stood before the class
+    moved: to the neighbouring community with the largest modularity gain,
+    ties to the lowest community id, staying counting as its own community.
+    No two members of a class are adjacent, so no mover's links change with
+    another's move. A mover wakes its neighbours outside its new community.
+    The move ends at a sweep that finds no active node.
+    """
+    n = level.num_nodes
+    m = level.total_weight
+    strength = level.strength
+    comm = np.arange(n)
+    tot = strength.copy()
+    active = np.ones(n, dtype=bool)
+    classes = _colour_classes(level, rng)
+    evaluated = 0
+    while active.any():
+        for members in classes:
+            nodes = members[active[members]]
+            if not len(nodes):
+                continue
+            active[nodes] = False
+            evaluated += len(nodes)
+            own = comm[nodes]
+            at, row = _rows(level, nodes)
+            # a key per (node, adjacent community), and one for its own community at weight 0
+            keys = (np.concatenate([row, np.arange(len(nodes))]) * n
+                    + np.concatenate([comm[level.neighbors[at]], own]))
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = _run_starts(keys)
+            links = np.add.reduceat(np.concatenate([level.weights[at],
+                                                    np.zeros(len(nodes))])[order], first)
+            row, c = np.divmod(keys[first], n)
+            k_i = strength[nodes][row]
+            gain = links / m - (tot[c] - k_i * (c == own[row])) * k_i / (2.0 * m * m)
+            # each node's largest gain; keys run by community within a node, so the
+            # first key that reaches it has the lowest community id
+            top = np.maximum.reduceat(gain, _run_starts(row))
+            hit = np.flatnonzero(gain == top[row])
+            best = c[hit[_run_starts(row[hit])]]
+            moved = best != own
+            if not moved.any():
+                continue
+            movers, target = nodes[moved], best[moved]
+            np.subtract.at(tot, own[moved], strength[movers])
+            np.add.at(tot, target, strength[movers])
+            comm[movers] = target
+            at, row = _rows(level, movers)
+            around = level.neighbors[at]
+            active[around[comm[around] != target[row]]] = True
+    return comm, evaluated
+
+
+def _aggregate(level: _LevelGraph, comm: Sequence[int]) -> tuple[_LevelGraph, np.ndarray]:
     """Phase two: collapse communities into nodes, keeping edge weights.
 
     Communities are renumbered densely in ascending order. Each pair of
@@ -185,11 +289,13 @@ def _weighted_modularity(level: _LevelGraph) -> float:
 def detect_communities(g: Graph, seed: int = 0) -> CommunityLabeling:
     """Two-phase greedy Louvain decomposition of ``g``.
 
-    Alternates a queue-driven local-move phase (see ``_one_level``) with
-    community aggregation until a pass improves modularity by less than
-    ``DEFAULT_MIN_MODULARITY_GAIN``. Each level's initial queue order is
-    shuffled by ``seed``; given the same graph and seed the result is
-    identical run to run. Disconnected graphs are accepted.
+    Alternates a local-move phase with community aggregation until a pass
+    improves modularity by less than ``DEFAULT_MIN_MODULARITY_GAIN``. A
+    level graph below ``COLOUR_MOVE_MIN_NODES`` nodes takes the queue move
+    (``_one_level``), a larger one the colour-class move (``_colour_level``).
+    Each level's queue order or colouring is drawn from ``seed``; given the
+    same graph and seed the result is identical run to run. Disconnected
+    graphs are accepted.
 
     Louvain can leave a community in pieces with no edge between them
     (Traag, Waltman & van Eck 2019). Each connected piece becomes its own
@@ -209,8 +315,9 @@ def detect_communities(g: Graph, seed: int = 0) -> CommunityLabeling:
     prev_q = _weighted_modularity(level)
     local_moves = 0
     while True:
-        comm, pops = _one_level(level, rng)
-        local_moves += pops
+        move = _colour_level if level.num_nodes >= COLOUR_MOVE_MIN_NODES else _one_level
+        comm, evaluated = move(level, rng)
+        local_moves += evaluated
         level, dense = _aggregate(level, comm)
         assignment = dense[assignment]
         q = _weighted_modularity(level)

@@ -38,7 +38,7 @@ class ComponentReport:
     modularity: float | None
     num_communities: int
     passes: int
-    local_moves: int  # Louvain local-move queue pops, summed over passes
+    local_moves: int  # nodes Louvain's local moves evaluated, summed over passes
     skipped: str | None  # reason, or None when communities were accepted
 
 

@@ -1,5 +1,7 @@
 """Community detection tests, checked against partition enumeration and networkx."""
 
+import functools
+import hashlib
 import itertools
 
 import networkx as nx
@@ -9,13 +11,22 @@ import pytest
 from boundary_vicinity import (
     boundary_edges,
     build_graph,
+    community,
     community_mask,
+    connect_communities,
     detect_communities,
     erdos_renyi,
     modularity,
     preferential_attachment,
 )
-from boundary_vicinity.community import _aggregate, _LevelGraph, _one_level
+from boundary_vicinity.community import (
+    COLOUR_MOVE_MIN_NODES,
+    _aggregate,
+    _colour_classes,
+    _colour_level,
+    _LevelGraph,
+    _one_level,
+)
 from conftest import edge_tuples
 
 
@@ -200,12 +211,21 @@ def test_detect_karate_quality(karate):
         assert labeling.modularity >= 0.35
 
 
+@functools.cache
+def planted_pa6k():
+    """``bva generate planted --part-kind pa --n 2000 --m 3 --k 80 --seed 0``: 6,000 nodes."""
+    return connect_communities([preferential_attachment(2000, 3, seed=i) for i in range(3)],
+                               80, seed=0).graph
+
+
 def test_detect_deterministic(karate):
-    a = detect_communities(karate, seed=11)
-    b = detect_communities(karate, seed=11)
-    assert np.array_equal(a.labels, b.labels)
-    assert a.modularity == b.modularity
-    assert a.quality_trace == b.quality_trace
+    for g in (karate, planted_pa6k()):
+        a = detect_communities(g, seed=11)
+        b = detect_communities(g, seed=11)
+        assert np.array_equal(a.labels, b.labels)
+        assert a.modularity == b.modularity
+        assert a.quality_trace == b.quality_trace
+        assert a.local_moves == b.local_moves
 
 
 def test_detect_labels_dense_and_q_consistent(karate):
@@ -217,10 +237,11 @@ def test_detect_labels_dense_and_q_consistent(karate):
 
 
 def test_detect_trace_nondecreasing(karate):
-    labeling = detect_communities(karate, seed=9)
-    trace = labeling.quality_trace
-    assert labeling.passes == len(trace) >= 1
-    assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
+    for g in (karate, planted_pa6k(), preferential_attachment(COLOUR_MOVE_MIN_NODES, 3, seed=9)):
+        labeling = detect_communities(g, seed=9)
+        trace = labeling.quality_trace
+        assert labeling.passes == len(trace) >= 1
+        assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
 
 def test_detect_modularity_not_below_trace(karate):
@@ -240,26 +261,46 @@ def test_detect_modularity_not_below_trace(karate):
     assert low == []
 
 
+def grid_edges(rows, cols, torus=False):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    if torus:
+        edges += [(r * cols + cols - 1, r * cols) for r in range(rows)]
+        edges += [((rows - 1) * cols + c, c) for c in range(cols)]
+    return edges
+
+
+@functools.cache
 def tie_heavy_graphs():
-    """Graphs where many moves tie on modularity gain."""
-    grid = [(r * 6 + c, r * 6 + c + 1) for r in range(6) for c in range(5)]
-    grid += [(r * 6 + c, (r + 1) * 6 + c) for r in range(5) for c in range(6)]
+    """Graphs where many moves tie on modularity gain.
+
+    The last six have at least ``COLOUR_MOVE_MIN_NODES`` nodes, so they take
+    the colour-class move; the first five take the queue move.
+    """
     ladder = [(i, i + 1) for i in range(19)] + [(20 + i, 21 + i) for i in range(19)]
     ladder += [(i, 20 + i) for i in range(20)]
     petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
     petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    cube = [(i, i ^ 1 << b) for i in range(4096) for b in range(12) if i < i ^ 1 << b]
     return {
         "cycle30": build_graph(30, [(i, (i + 1) % 30) for i in range(30)]),
-        "grid6x6": build_graph(36, grid),
+        "grid6x6": build_graph(36, grid_edges(6, 6)),
         "k5_5": build_graph(10, [(u, v) for u in range(5) for v in range(5, 10)]),
         "ladder20": build_graph(40, ladder),
         "petersen": build_graph(10, petersen),
+        "grid70x70": build_graph(4900, grid_edges(70, 70)),
+        "torus64x64": build_graph(4096, grid_edges(64, 64, torus=True)),
+        "ring5000k3": build_graph(5000, [(i, (i + d) % 5000) for i in range(5000)
+                                         for d in (1, 2, 3)]),
+        "hypercube12": build_graph(4096, cube),
+        "star4000": build_graph(4000, [(0, v) for v in range(1, 4000)]),
+        "matching4000": build_graph(4000, [(2 * i, 2 * i + 1) for i in range(2000)]),
     }
 
 
 @pytest.mark.parametrize("name", sorted(tie_heavy_graphs()))
 def test_detect_queue_terminates_on_tie_heavy_graphs(name):
-    """The local-move queue empties, Q never falls, and a seed fixes the labels."""
+    """The local move ends, Q never falls, and a seed fixes the labels."""
     g = tie_heavy_graphs()[name]
     for seed in range(5):
         labeling = detect_communities(g, seed=seed)
@@ -276,19 +317,132 @@ def test_detect_accepts_disconnected(two_triangles_disjoint):
     assert labeling.num_communities == 2
 
 
-@pytest.mark.parametrize("kind", ["er", "pa"])
+@pytest.mark.parametrize("kind", ["er", "pa", "er-colour", "pa-colour"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_detect_communities_are_connected(kind, seed):
-    """Louvain can strand pieces of a community; each piece gets its own label."""
-    if kind == "er":
-        g = erdos_renyi(300, 0.02, seed=seed)
+    """Louvain can strand pieces of a community; each piece gets its own label.
+
+    The ``-colour`` graphs have ``COLOUR_MOVE_MIN_NODES`` nodes, the others 300.
+    """
+    n = COLOUR_MOVE_MIN_NODES if kind.endswith("-colour") else 300
+    if kind.startswith("er"):
+        g = erdos_renyi(n, 6 / n, seed=seed)
     else:
-        g = preferential_attachment(300, 2, seed=seed)
+        g = preferential_attachment(n, 2, seed=seed)
     labeling = detect_communities(g, seed=seed)
     nxg = to_networkx(g)
-    for c in range(labeling.num_communities):
-        members = [v for v in range(g.num_nodes) if labeling.labels[v] == c]
-        assert nx.is_connected(nxg.subgraph(members)), (kind, seed, c)
+    members = np.argsort(labeling.labels, kind="stable")
+    ends = np.cumsum(np.bincount(labeling.labels))
+    for c, part in enumerate(np.split(members, ends[:-1])):
+        assert nx.is_connected(nxg.subgraph(part.tolist())), (kind, seed, c)
+
+
+@pytest.mark.parametrize("kind, tolerance", [("planted-pa6k", 0.001), ("pa", 0.01),
+                                             ("er", 0.01)])
+def test_colour_move_modularity_near_queue_move(kind, tolerance, monkeypatch):
+    """Q with the colour-class move is not below the queue move's, within a tolerance.
+
+    It is absolute on the planted graph and relative on PA(5000, 3) and
+    ER(5000, 0.0012), which have no planted parts.
+    """
+    g = {"planted-pa6k": planted_pa6k, "pa": lambda: preferential_attachment(5000, 3, seed=0),
+         "er": lambda: erdos_renyi(5000, 0.0012, seed=0)}[kind]()
+    for seed in range(3):
+        colour = detect_communities(g, seed=seed).modularity
+        with monkeypatch.context() as patch:
+            patch.setattr(community, "COLOUR_MOVE_MIN_NODES", g.num_nodes + 1)
+            queue = detect_communities(g, seed=seed).modularity
+        floor = queue - tolerance if kind == "planted-pa6k" else queue * (1 - tolerance)
+        assert colour >= floor, (kind, seed, colour, queue)
+
+
+def test_detect_picks_the_move_by_level_size(monkeypatch):
+    """A level one node below ``COLOUR_MOVE_MIN_NODES`` takes the queue move; one of
+    exactly that many nodes takes the colour-class move."""
+    sizes = []
+
+    def spy(level, rng):
+        sizes.append(level.num_nodes)
+        return _colour_level(level, rng)
+
+    monkeypatch.setattr(community, "_colour_level", spy)
+    below = detect_communities(preferential_attachment(COLOUR_MOVE_MIN_NODES - 1, 3, seed=0))
+    assert sizes == []
+    # labels and local_moves of the queue move, recorded before the colour move existed
+    assert (hashlib.sha256(below.labels.tobytes()).hexdigest(), below.local_moves) == (
+        "9d03baaf2abad0eb1de77496734aae3b22b1e80caae503a59b3f9753e1f0ecf4", 20249)
+    detect_communities(preferential_attachment(COLOUR_MOVE_MIN_NODES, 3, seed=0))
+    assert sizes == [COLOUR_MOVE_MIN_NODES]
+
+
+@pytest.mark.parametrize("kind", ["karate", "star", "pa", "er", "planted-pa6k"])
+def test_colour_classes_are_independent_sets_covering_every_node(kind, karate):
+    g = {"karate": lambda: karate, "star": lambda: build_graph(50, [(0, v) for v in range(1, 50)]),
+         "pa": lambda: preferential_attachment(1000, 3, seed=1),
+         "er": lambda: erdos_renyi(1000, 0.004, seed=1), "planted-pa6k": planted_pa6k}[kind]()
+    level = _LevelGraph.from_graph(g)
+    classes = _colour_classes(level, np.random.default_rng(3))
+    colour = np.full(g.num_nodes, -1)
+    for c, members in enumerate(classes):
+        assert len(members) and (colour[members] == -1).all()
+        colour[members] = c
+    assert (colour >= 0).all()
+    assert (colour[g.edges[:, 0]] != colour[g.edges[:, 1]]).all()
+    # largest degree first
+    degree = np.diff(level.indptr)
+    assert degree[classes[0]].max() == degree.max()
+
+
+def colour_level_reference(level, classes):
+    """The colour-class move one node at a time: each active member of a class picks
+    its best community from the totals as they stood before the class moved."""
+    n, m = level.num_nodes, level.total_weight
+    bounds = level.indptr.tolist()
+    rows = [list(zip(level.neighbors[a:b].tolist(), level.weights[a:b].tolist()))
+            for a, b in zip(bounds, bounds[1:])]
+    strength = level.strength.tolist()
+    comm, tot, active = list(range(n)), list(strength), [True] * n
+    evaluated = 0
+    while any(active):
+        for members in classes:
+            moves = []
+            for i in members.tolist():
+                if not active[i]:
+                    continue
+                active[i] = False
+                evaluated += 1
+                k_i, own = strength[i], comm[i]
+                links = {own: 0.0}
+                for j, w in rows[i]:
+                    links[comm[j]] = links.get(comm[j], 0.0) + w
+                gains = {c: links[c] / m
+                         - (tot[c] - (k_i if c == own else 0.0)) * k_i / (2.0 * m * m)
+                         for c in links}
+                best = min(gains, key=lambda c: (-gains[c], c))
+                if best != own:
+                    moves.append((i, best))
+            for i, best in moves:
+                tot[comm[i]] -= strength[i]
+                tot[best] += strength[i]
+                comm[i] = best
+                for j, _ in rows[i]:
+                    active[j] = active[j] or comm[j] != best
+    return comm, evaluated
+
+
+@pytest.mark.parametrize("kind", ["karate", "pa", "er", "aggregated"])
+def test_colour_level_matches_node_by_node_reference(kind, karate):
+    g = {"karate": karate, "pa": preferential_attachment(600, 3, seed=2),
+         "er": erdos_renyi(600, 0.01, seed=2),
+         "aggregated": preferential_attachment(2000, 2, seed=2)}[kind]
+    level = _LevelGraph.from_graph(g)
+    if kind == "aggregated":  # weighted pairs and self-weights
+        level, _ = _aggregate(level, _one_level(level, np.random.default_rng(0))[0])
+        assert level.self_weights.any() and (level.weights > 1).any()
+    for seed in range(3):
+        comm, evaluated = _colour_level(level, np.random.default_rng(seed))
+        classes = _colour_classes(level, np.random.default_rng(seed))
+        assert (comm.tolist(), evaluated) == colour_level_reference(level, classes)
 
 
 def test_detect_errors_on_edgeless():

@@ -299,13 +299,17 @@ def test_pipeline_dot_export(bridge_file, tmp_path):
 
 
 def test_components_command(tmp_path):
-    path = tmp_path / "two.edges"
-    path.write_text("0 1\n2 3\n")
-    out = tmp_path / "out"
-    assert main(["components", "--input", str(path), "--out", str(out)]) == 0
-    rows = (out / "components.csv").read_text().splitlines()
-    assert rows[0] == "node_id,component_id"
-    assert len(rows) == 5
+    """A byte-order mark at the start of the file is not part of the first token."""
+    for body, tokens in [(b"0 1\n2 3\n", 4),
+                         (b"\xef\xbb\xbfa b\nb c\nc a\nc d\nd e\ne f\nf d\n", 6)]:
+        path = tmp_path / "graph.edges"
+        path.write_bytes(body)
+        out = tmp_path / "out"
+        assert main(["components", "--input", str(path), "--out", str(out)]) == 0
+        rows = (out / "components.csv").read_text().splitlines()
+        assert rows[0] == "node_id,component_id"
+        assert len(rows) == 1 + tokens
+        assert rows[1].split(",")[0] == body[:-1].split()[0].decode("utf-8-sig")
 
 
 def test_communities_json_summary(bridge_file, tmp_path):

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import boundary_vicinity
+from boundary_vicinity import connect_communities, preferential_attachment, write_edge_list
+from boundary_vicinity.community import COLOUR_MOVE_MIN_NODES
 
 PACKAGE = Path(boundary_vicinity.__file__).parent
 KARATE = Path(__file__).parent / "data" / "karate.edges"
@@ -29,9 +31,13 @@ def test_import_sets_openblas_threads_unless_set(preset, expected):
     assert done.stdout.strip() == expected
 
 
-@pytest.mark.parametrize("command", ["pipeline", "boundary", "temporal"])
+@pytest.mark.parametrize("command", ["pipeline", "boundary", "temporal", "pipeline-colour"])
 def test_command_leaves_numpy_ma_unimported(command, tmp_path):
-    """``numpy.ma`` costs about 10 ms to import, and no command needs it."""
+    """``numpy.ma`` costs about 10 ms to import, and no command needs it.
+
+    ``pipeline-colour`` runs on two planted parts of ``COLOUR_MOVE_MIN_NODES / 2``
+    nodes, so Louvain's first level takes the colour-class move.
+    """
     labels = tmp_path / "labels.csv"
     labels.write_text("".join(f"{v},{v // 17}\n" for v in range(34)))
     # two 6-cliques joined by one edge: 2 boundary nodes, so a control set exists
@@ -41,10 +47,17 @@ def test_command_leaves_numpy_ma_unimported(command, tmp_path):
                                          for b in range(a + 1, base + 6)))
     events = tmp_path / "events.csv"
     events.write_text("".join(f"{60 * t + v},{v}\n" for t in range(8) for v in range(12)))
-    argv = {"pipeline": ["--input", str(KARATE)],
-            "boundary": ["--input", str(KARATE), "--labels", str(labels)],
-            "temporal": ["--input", str(bridged), "--events", str(events)]}[command]
-    argv = [command, *argv, "--out", str(tmp_path)]
+    planted = tmp_path / "planted.edges"
+    if command == "pipeline-colour":
+        half = COLOUR_MOVE_MIN_NODES // 2
+        parts = [preferential_attachment(half, 3, seed=i) for i in range(2)]
+        with open(planted, "w") as handle:
+            write_edge_list(connect_communities(parts, 10, seed=0).graph, handle)
+    argv = {"pipeline": ["pipeline", "--input", str(KARATE)],
+            "boundary": ["boundary", "--input", str(KARATE), "--labels", str(labels)],
+            "temporal": ["temporal", "--input", str(bridged), "--events", str(events)],
+            "pipeline-colour": ["pipeline", "--input", str(planted)]}[command]
+    argv = [*argv, "--out", str(tmp_path)]
     probe = ("import sys; from boundary_vicinity.cli import main; "
              f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
