@@ -36,12 +36,10 @@ from .generators import (
 )
 from .graph import (
     ComponentPartition,
-    EdgeListParseError,
     Graph,
     build_graph,
     connected_components,
     load_edge_list,
-    subgraph,
     write_edge_list,
 )
 from .pipeline import (
@@ -59,21 +57,15 @@ from .temporal import (
 )
 from .walker import (
     VisitScores,
-    WalkBatch,
     WalkConfig,
     bva,
     default_step_count,
-    psrf,
-    random_walk,
-    run_converged_walks,
-    scale_community_weights,
 )
 
 __all__ = [
     "BoundarySet",
     "CommunityLabeling",
     "ComponentPartition",
-    "EdgeListParseError",
     "EventSeries",
     "Graph",
     "OverlapCurve",
@@ -81,7 +73,6 @@ __all__ = [
     "PlantedNetwork",
     "SpikeReport",
     "VisitScores",
-    "WalkBatch",
     "WalkConfig",
     "betweenness_brandes",
     "bin_events",
@@ -100,13 +91,8 @@ __all__ = [
     "load_edge_list",
     "modularity",
     "preferential_attachment",
-    "psrf",
-    "random_walk",
     "rank_overlap",
-    "run_converged_walks",
     "run_pipeline",
     "sample_control_nodes",
-    "scale_community_weights",
-    "subgraph",
     "write_edge_list",
 ]

@@ -65,10 +65,6 @@ class UsageError(Exception):
     pass
 
 
-class InputError(ValueError):
-    pass
-
-
 @contextmanager
 def _reading(path: str):
     """The input file at ``path``, open for one read; a read or decode error names it.
@@ -79,9 +75,9 @@ def _reading(path: str):
         with open(path, encoding="utf-8-sig") as handle:
             yield handle
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_graph(path: str) -> Graph:
@@ -89,7 +85,7 @@ def _load_graph(path: str) -> Graph:
         try:
             return load_edge_list(handle)
         except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -125,10 +121,10 @@ def _read_labels(path: str, g: Graph) -> np.ndarray:
             else:
                 labels[v] = community
                 continue
-            raise InputError(f"{path}: line {number}: {problem}")
+            raise ValueError(f"{path}: line {number}: {problem}")
     labels = np.array(labels)
     if (labels < 0).any():
-        raise InputError(f"{path}: does not label every node of the graph")
+        raise ValueError(f"{path}: does not label every node of the graph")
     return labels
 
 
@@ -149,12 +145,12 @@ def _read_scores(path: str) -> dict[str, float]:
             if math.isnan(value):
                 if index == 0:
                     continue  # the header
-                raise InputError(f"{path}: line {number}: no numeric score in {text!r}")
+                raise ValueError(f"{path}: line {number}: no numeric score in {text!r}")
             if name in scores:
-                raise InputError(f"{path}: line {number}: node {name!r} is listed twice")
+                raise ValueError(f"{path}: line {number}: node {name!r} is listed twice")
             scores[name] = value
     if not scores:
-        raise InputError(f"{path}: no score rows found")
+        raise ValueError(f"{path}: no score rows found")
     return scores
 
 
@@ -169,12 +165,12 @@ def _read_events(path: str, g: Graph) -> np.ndarray:
             stamp, _, name = text.partition(",")
             node = by_name.get(name)
             if node is None:
-                raise InputError(f"{path}: line {number}: unknown node {name!r}")
+                raise ValueError(f"{path}: line {number}: unknown node {name!r}")
             numbers.append(number)
             stamps.append(stamp)
             nodes.append(node)
     if not stamps:
-        raise InputError(f"{path}: no events found")
+        raise ValueError(f"{path}: no events found")
     events = np.empty((len(stamps), 2), dtype=np.int64)
     try:
         events[:, 0] = np.array(stamps, dtype=np.int64)
@@ -184,7 +180,7 @@ def _read_events(path: str, g: Graph) -> np.ndarray:
                 np.array(stamp, dtype=np.int64)
             except (ValueError, OverflowError):
                 break
-        raise InputError(f"{path}: line {number}: "
+        raise ValueError(f"{path}: line {number}: "
                          f"timestamp {stamp!r} is not a 64-bit integer") from None
     events[:, 1] = nodes
     return events
@@ -204,7 +200,10 @@ def cmd_pipeline(args) -> int:
         raise UsageError(f"--unconverged-tolerance {args.unconverged_tolerance}: "
                          "expected a fraction in [0, 1]")
     g = _load_graph(args.input)
-    result = run_pipeline(g, walk, q_threshold=args.q_threshold)
+    try:
+        result = run_pipeline(g, walk, q_threshold=args.q_threshold)
+    except MemoryError as exc:  # each origin's walks fill max_batches × walknum paths
+        raise UsageError(f"{exc}; lower --walknum, --stepnum or --max-batches") from None
     out = _out_dir(args)
     with open(out / "scores.csv", "w") as handle:
         write_scores_csv(result, handle)
@@ -282,7 +281,7 @@ def cmd_overlap(args) -> int:
     for path, names, other, known in ((args.b, b, args.a, a), (args.a, a, args.b, b)):
         extra = next((name for name in names if name not in known), None)
         if extra is not None:
-            raise InputError(f"score files cover different node sets: {path} lists "
+            raise ValueError(f"score files cover different node sets: {path} lists "
                              f"node {extra!r}, {other} does not")
     try:
         names = sorted(a, key=int)
@@ -341,7 +340,7 @@ def cmd_temporal(args) -> int:
     try:
         series = bin_events(events, args.window)
     except ValueError as exc:
-        raise InputError(f"{args.events}: {exc}") from None
+        raise ValueError(f"{args.events}: {exc}") from None
     boundary_active = series.actives(boundary_nodes)
     control_active = control_series(series, boundary_nodes, g.num_nodes, seed=args.seed)
     report = {
@@ -496,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, OSError) as exc:  # InputError is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

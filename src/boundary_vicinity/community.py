@@ -26,11 +26,12 @@ class CommunityLabeling:
 
     ``labels`` is a read-only int64 array, one label per node; any sequence
     of ints is accepted and converted once. ``quality_trace`` records
-    modularity after each Louvain pass (one queue-driven local-move phase
-    plus aggregation), so tests can verify the greedy optimization never
-    goes backwards. ``passes`` is its length.
-    ``local_moves`` counts the nodes popped from the local-move queues,
-    summed over passes.
+    modularity after each Louvain pass (one local-move phase, by queue or
+    by colour class, plus aggregation), so tests can verify the greedy
+    optimization never goes backwards. ``passes`` is its length.
+    ``local_moves`` counts the nodes the local moves evaluated, summed over
+    passes: queue pops on the queue path, active class members on the
+    colour path.
     """
 
     labels: np.ndarray

@@ -10,14 +10,6 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 
-class EdgeListParseError(ValueError):
-    """A malformed edge-list line; message carries the 1-based line number."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected simple graph.
@@ -122,19 +114,18 @@ def load_edge_list(stream: TextIO | Iterable[str]) -> Graph:
     duplicate edges are dropped (the first copy of an edge is kept), with
     counts recorded on the returned graph.
 
-    Raises EdgeListParseError for a line without exactly two tokens or
-    whose second token begins with ``#``, and ValueError for empty input.
+    Raises ValueError for empty input, and for a line without exactly two
+    tokens or whose second token begins with ``#``, naming its line number.
     """
     ids: dict[str, int] = {}
     ends = array("q")
     for line_number, text in data_lines(stream):
         tokens = text.replace(",", " ").split()
         if len(tokens) != 2:
-            raise EdgeListParseError(
-                line_number, f"expected 2 node tokens, found {len(tokens)}: {text!r}"
-            )
+            raise ValueError(
+                f"line {line_number}: expected 2 node tokens, found {len(tokens)}: {text!r}")
         if tokens[1][0] == "#":  # a first token that begins with "#" makes a comment
-            raise EdgeListParseError(line_number, f"node token {tokens[1]!r} begins with '#'")
+            raise ValueError(f"line {line_number}: node token {tokens[1]!r} begins with '#'")
         ends.append(ids.setdefault(tokens[0], len(ids)))
         ends.append(ids.setdefault(tokens[1], len(ids)))
     if not ends:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -100,7 +99,7 @@ class VisitScores:
 
 
 def default_step_count(n: int) -> int:
-    """Walk length heuristic: ceil(ln n / ln ln n), at least 2.
+    """Walk length heuristic: ceil(ln n / ln ln n), at least 2, or 1 below 2 nodes.
 
     This tracks the average path length of preferential-attachment style
     networks, keeping walks short enough to stay local to their origin.
@@ -108,7 +107,7 @@ def default_step_count(n: int) -> int:
     clamped away, using ceil(ln n) instead.
     """
     if n < 2:
-        raise ValueError("step count needs at least 2 nodes")
+        return 1
     log_n = math.log(n)
     log_log_n = math.log(log_n) if log_n > 1.0 else 0.0
     value = math.ceil(log_n / log_log_n) if log_log_n >= 1.0 else math.ceil(log_n)
@@ -247,19 +246,15 @@ def run_converged_walks(mask: Graph, start: int, cfg: WalkConfig) -> WalkBatch:
 
 
 def scale_community_weights(
-    visits: Sequence[float] | np.ndarray, community_size: int | np.ndarray, n_total: int
+    visits: np.ndarray, community_size: np.ndarray, n_total: int
 ) -> np.ndarray:
     """Scale visit mass by relative community size, |community| / |graph|.
 
     Nodes in larger communities deliver a larger share of the graph-wide
     information flow, so their visit counts carry proportionally more weight.
-    ``community_size`` is one size, or one per entry of ``visits``.
+    ``community_size`` holds the size of each entry's community.
     """
-    if n_total < 1:
-        raise ValueError("total node count must be positive")
-    if np.any(np.asarray(community_size) > n_total):
-        raise ValueError("community cannot exceed the whole graph")
-    return np.asarray(visits, dtype=float) * (community_size / n_total)
+    return visits * (community_size / n_total)
 
 
 def _sparse_psrf(paths: np.ndarray, num_nodes: int):
@@ -349,15 +344,15 @@ def bva(
     """Boundary vicinity scores for every node of ``g``, from its community ``labels``.
 
     An unset ``cfg.stepnum`` resolves to ``default_step_count`` of the
-    graph size (1 for a one-node graph); the resolved config comes back as
-    ``VisitScores.walk``. All walks run on one walk graph, ``g`` without
-    its cross-community edges (``community_mask``), so a walk stays in its
-    origin's community and node ids stay global. For each boundary node
-    (ascending id) the converged visit counts are summed, divided by the
-    number of walkers used (so extra batches taken to converge do not
-    inflate mass), scaled by relative community size, and added into the
-    graph-wide score vector. ``normalized`` then divides by the maximum.
-    With no boundary node every score is 0 and ``warning`` says why.
+    graph size; the resolved config comes back as ``VisitScores.walk``.
+    All walks run on one walk graph, ``g`` without its cross-community
+    edges (``community_mask``), so a walk stays in its origin's community
+    and node ids stay global. For each boundary node (ascending id) the
+    converged visit counts are summed, divided by the number of walkers
+    used (so extra batches taken to converge do not inflate mass), scaled
+    by relative community size, and added into the graph-wide score
+    vector. ``normalized`` then divides by the maximum. With no boundary
+    node every score is 0 and ``warning`` says why.
 
     Each origin walks on its own Philox stream, keyed by (seed, origin),
     and gets exactly what ``run_converged_walks`` gives it alone. The
@@ -366,8 +361,7 @@ def bva(
     ascending id order.
     """
     if cfg.stepnum is None:
-        stepnum = default_step_count(g.num_nodes) if g.num_nodes >= 2 else 1
-        cfg = replace(cfg, stepnum=stepnum)
+        cfg = replace(cfg, stepnum=default_step_count(g.num_nodes))
     origins = bset.boundary_nodes
     batches = np.zeros(len(origins), dtype=np.int64)
     converged = np.zeros(len(origins), dtype=bool)

@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from boundary_vicinity import (
-    WalkBatch,
     WalkConfig,
     betweenness_brandes,
     bin_events,
@@ -27,11 +26,10 @@ from boundary_vicinity import (
     detect_spikes,
     erdos_renyi,
     preferential_attachment,
-    psrf,
-    random_walk,
     rank_overlap,
 )
 from boundary_vicinity.cli import main
+from boundary_vicinity.walker import WalkBatch, psrf, random_walk
 from conftest import random_connected_graph
 from reference import betweenness_bruteforce, top_k_nodes
 from test_walker import enumerate_visit_moments

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from boundary_vicinity import (
-    EdgeListParseError,
     build_graph,
     community_mask,
     connected_components,
     detect_communities,
     load_edge_list,
-    subgraph,
     write_edge_list,
 )
+from boundary_vicinity.graph import subgraph
 from conftest import edge_tuples, neighbors, random_connected_graph
 
 
@@ -47,15 +46,15 @@ def test_load_interns_sparse_ids_densely():
 
 
 def test_load_malformed_line_reports_line_number():
-    with pytest.raises(EdgeListParseError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         load_edge_list(io.StringIO("0 1\n0 1 2\n"))
 
 
 def test_load_second_token_starting_with_hash_is_an_error():
     # "#d e" would be a comment line, so "#d" could be written but never read back
-    with pytest.raises(EdgeListParseError, match="line 4: node token '#d' begins with '#'"):
+    with pytest.raises(ValueError, match="line 4: node token '#d' begins with '#'"):
         load_edge_list(io.StringIO("a b\nb c\nc a\nc #d\n#d e\n"))
-    with pytest.raises(EdgeListParseError, match="line 1: node token '#b'"):
+    with pytest.raises(ValueError, match="line 1: node token '#b'"):
         load_edge_list(io.StringIO("a,#b\n"))
     assert load_edge_list(io.StringIO("#d e\na b#\n")).names == ("a", "b#")
 

@@ -30,7 +30,6 @@ from boundary_vicinity import (
     load_edge_list,
     preferential_attachment,
     rank_overlap,
-    run_converged_walks,
     run_pipeline,
     write_edge_list,
 )
@@ -46,6 +45,7 @@ from boundary_vicinity.pipeline import (
     write_components_csv,
     write_scores_csv,
 )
+from boundary_vicinity.walker import run_converged_walks
 
 # floats whose repr has an exponent, a sign, no fraction, or no finite value
 SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1.0, 7.0,

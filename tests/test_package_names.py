@@ -5,6 +5,8 @@ name counts as used when a top-level statement other than its own
 definition, in any package module but ``__init__.py``, reads it as an AST
 ``Name`` or ``Attribute`` (a docstring or a bare import does not count), or
 when the benchmark tracer wraps it (``PATCHES`` in ``bench/tracing.py``).
+A name the package exports must be read by the package itself, not only
+wrapped by the tracer.
 """
 
 import ast
@@ -50,9 +52,18 @@ def test_unused_definitions_are_found():
     assert unused_definitions(sources, {"traced"}) == ["a.py:5: unused", "a.py:9: recursive"]
 
 
+def package_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
 def test_every_package_definition_is_used_by_the_package():
-    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
-               if path.name != "__init__.py"}
     wrapped = {name for names in read_patches().values() for name in names}
-    unused = unused_definitions(sources, wrapped)
+    unused = unused_definitions(package_sources(), wrapped)
     assert not unused, "defined but not used in the package: " + ", ".join(unused)
+
+
+def test_no_export_is_kept_alive_by_the_tracer_alone():
+    unused = {entry.rpartition(": ")[2] for entry in unused_definitions(package_sources(), set())}
+    exported = sorted(unused & set(boundary_vicinity.__all__))
+    assert not exported, "exported, but the package never reads: " + ", ".join(exported)

@@ -17,9 +17,9 @@ from boundary_vicinity import (
     load_edge_list,
     preferential_attachment,
     run_pipeline,
-    subgraph,
 )
 from boundary_vicinity.cli import _read_events, _walk_config, build_parser, main
+from boundary_vicinity.graph import subgraph
 from boundary_vicinity.pipeline import (
     ComponentReport,
     component_seed,
@@ -274,6 +274,20 @@ def test_pipeline_unconverged_exit_code(tmp_path, capsys):
     ])
     assert code == 3
     assert "converge" in capsys.readouterr().err
+
+
+def test_pipeline_walks_beyond_memory_exit_1_and_write_nothing(tmp_path, capsys):
+    # the walk buffer asks for 10^15 × 50 × (stepnum + 1) int64 entries, more
+    # than any address space holds, so the request is refused, not filled
+    graph = Path(__file__).parent / "data" / "karate.edges"
+    out = tmp_path / "out"
+    code = main(["pipeline", "--input", str(graph), "--out", str(out),
+                 "--max-batches", "1000000000000000"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lower --walknum, --stepnum or --max-batches" in err
+    assert not out.exists()
 
 
 def test_pipeline_dot_export(bridge_file, tmp_path):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from boundary_vicinity import (
-    WalkBatch,
     WalkConfig,
     boundary_edges,
     build_graph,
@@ -25,12 +24,15 @@ from boundary_vicinity import (
     detect_communities,
     erdos_renyi,
     preferential_attachment,
+)
+from boundary_vicinity import walker
+from boundary_vicinity.walker import (
+    WalkBatch,
     psrf,
     random_walk,
     run_converged_walks,
     scale_community_weights,
 )
-from boundary_vicinity import walker
 from conftest import neighbors as graph_neighbors
 from reference import _walk_rng
 
@@ -61,14 +63,10 @@ def enumerate_visit_moments(mask, start, stepnum):
 # --- step-length heuristic ---
 
 
-@pytest.mark.parametrize("n,expected", [(1000, 4), (34, 3), (10, 3), (2, 2), (3, 2), (16, 3)])
+@pytest.mark.parametrize("n,expected",
+                         [(1000, 4), (34, 3), (10, 3), (2, 2), (3, 2), (16, 3), (1, 1), (0, 1)])
 def test_default_step_count(n, expected):
     assert default_step_count(n) == expected
-
-
-def test_default_step_count_rejects_tiny():
-    with pytest.raises(ValueError):
-        default_step_count(1)
 
 
 # --- single walks ---
@@ -430,24 +428,18 @@ def test_converged_walks_requires_concrete_stepnum():
 
 
 def test_scale_identity_for_whole_graph():
-    out = scale_community_weights([3.0, 1.0], 10, 10)
+    out = scale_community_weights(np.array([3.0, 1.0]), np.array([10, 10]), 10)
     assert out.tolist() == [3.0, 1.0]
 
 
 def test_scale_halves_for_half_graph():
-    out = scale_community_weights([4.0, 2.0], 50, 100)
+    out = scale_community_weights(np.array([4.0, 2.0]), np.array([50, 50]), 100)
     assert out.tolist() == [2.0, 1.0]
 
 
 def test_scale_linear_in_community_size():
-    small = scale_community_weights([6.0], 30, 100)
-    large = scale_community_weights([6.0], 60, 100)
-    assert large[0] == pytest.approx(2 * small[0])
-
-
-def test_scale_rejects_oversized_community():
-    with pytest.raises(ValueError):
-        scale_community_weights([1.0], 11, 10)
+    out = scale_community_weights(np.array([6.0, 6.0]), np.array([30, 60]), 100)
+    assert out[1] == pytest.approx(2 * out[0])
 
 
 # --- walk config ---
