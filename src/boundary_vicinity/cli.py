@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input,
-3 scoring finished but too many boundary nodes failed to converge.
+Exit codes: 0 success, 1 usage error or out of memory, 2 unreadable or
+malformed input, 3 scoring finished but too many boundary nodes failed to converge.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .pipeline import (
     write_scores_dot,
 )
 from .temporal import DEFAULT_Z_THRESHOLD, bin_events, control_series, detect_spikes
-from .walker import WalkConfig
+from .walker import WalkConfig, _converge_together
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -200,10 +200,7 @@ def cmd_pipeline(args) -> int:
         raise UsageError(f"--unconverged-tolerance {args.unconverged_tolerance}: "
                          "expected a fraction in [0, 1]")
     g = _load_graph(args.input)
-    try:
-        result = run_pipeline(g, walk, q_threshold=args.q_threshold)
-    except MemoryError as exc:  # each origin's walks fill max_batches × walknum paths
-        raise UsageError(f"{exc}; lower --walknum, --stepnum or --max-batches") from None
+    result = run_pipeline(g, walk, q_threshold=args.q_threshold)
     out = _out_dir(args)
     with open(out / "scores.csv", "w") as handle:
         write_scores_csv(result, handle)
@@ -329,6 +326,10 @@ def cmd_generate(args) -> int:
     with open(out / "graph.edges", "w") as handle:
         handle.write(f"# {recipe}\n")
         write_edge_list(g, handle)
+    unwritten = g.num_nodes - len(np.unique(g.edges))  # an edge list holds no isolated node
+    if unwritten:
+        print(f"warning: {unwritten} of {g.num_nodes} nodes have no edge and are not "
+              "in graph.edges", file=sys.stderr)
     return 0
 
 
@@ -494,6 +495,15 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
+        last = exc.__traceback__
+        while last.tb_next:
+            last = last.tb_next
+        # _converge_together's walk buffer holds max_batches × walknum walks per origin
+        hint = ("; lower --walknum, --stepnum or --max-batches"
+                if last.tb_frame.f_code is _converge_together.__code__ else "")
+        print(f"error: {str(exc) or 'out of memory'}{hint}", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,25 +57,6 @@ class WalkConfig:
             raise ValueError("max_batches must be positive")
 
 
-@dataclass
-class WalkBatch:
-    """Accumulated walks from one origin: one visit-count row per walker.
-
-    Columns cover only the visited nodes, named by ``nodes`` in ascending
-    order; every other node's count is zero in every row.
-    """
-
-    visits: np.ndarray  # shape (num_walks, len(nodes)), nonnegative ints
-    nodes: np.ndarray  # ascending node ids, one per column of visits
-    converged: bool = True
-    psrf_value: float = 1.0
-    batches: int = 1
-
-    @property
-    def num_walks(self) -> int:
-        return int(self.visits.shape[0])
-
-
 @dataclass(eq=False)
 class VisitScores:
     """Merged walker scores over the full graph.
@@ -123,9 +104,9 @@ def random_walk(
     floor(u * degree) of the current node's ascending row in ``mask.csr``.
     Only a start with no neighbors in the walk graph ends the walk early: a
     step along an undirected edge lands on a node that has at least the
-    neighbor it came from. So the path holds either 1 or stepnum + 1 nodes. This is the
-    one-walk definition that ``run_converged_walks`` steps a batch at a time
-    and ``bva`` steps for all origins at once; the tests hold both to it.
+    neighbor it came from. So the path holds either 1 or stepnum + 1 nodes.
+    This is the one-walk definition: walk w (from 0) of ``_converge_together``
+    is this walk on draws w·stepnum to (w+1)·stepnum - 1 of its start's stream.
     """
     if not (0 <= start < mask.num_nodes):
         raise ValueError(f"start node {start} not in walk graph")
@@ -141,21 +122,20 @@ def random_walk(
     return np.array(path, dtype=np.int64)
 
 
-def psrf(batch: WalkBatch) -> float:
-    """Potential scale reduction factor over the batch's visit counts.
+def psrf(visits: np.ndarray) -> float:
+    """Potential scale reduction factor of a walks × nodes visit-count matrix.
 
-    Walkers split into two equal chains in arrival order; an odd trailing
+    Walks (rows) split into two equal chains in arrival order; an odd trailing
     walk is left out. Per node: W is the mean within-chain variance, B/n
     the variance of chain means, and the pooled estimate V = ((n-1)/n) W +
     B/n gives sqrt(V / W) (see ``_moment_psrf``). Returns the maximum over
     nodes with W > 0; when no node varies within chains there is nothing
-    left to learn and the result is exactly 1. This is the one-origin
-    definition that ``bva``'s batched diagnostic is tested against.
+    left to learn and the result is exactly 1. ``_sparse_psrf`` is tested against it.
     """
-    n = batch.num_walks // 2
+    n = len(visits) // 2
     if n < 2:
         raise ValueError("each chain needs at least 2 walks")
-    chains = batch.visits[:2 * n].reshape(2, n, -1)
+    chains = visits[:2 * n].reshape(2, n, -1)
     top = _moment_psrf(n, chains.sum(axis=1), (chains * chains).sum(axis=(0, 1))).max(initial=0.0)
     return float(top) if top > 0 else 1.0
 
@@ -195,54 +175,11 @@ def _walk_paths(
     return paths
 
 
-def _visit_counts(paths: np.ndarray) -> WalkBatch:
-    """Visit counts per walk (row of ``paths``), over the visited nodes only."""
-    nodes, column = np.unique(paths.ravel(), return_inverse=True)
-    row = np.repeat(np.arange(len(paths)), paths.shape[1])
-    visits = np.bincount(row * len(nodes) + column, minlength=len(paths) * len(nodes))
-    return WalkBatch(visits.reshape(len(paths), len(nodes)), nodes)
-
-
 def _origin_stream(seed: int, start: int) -> np.random.Generator:
     """The Philox stream of the walks from ``start``, keyed [seed mod 2^64, start]."""
     # a uint64 key: a list key goes through float64 for seeds of 2^63 and above
     return np.random.Generator(np.random.Philox(
         key=np.array([seed % 2**64, start], dtype=np.uint64)))
-
-
-def run_converged_walks(mask: Graph, start: int, cfg: WalkConfig) -> WalkBatch:
-    """Accumulate walk batches from ``start`` until the diagnostic settles.
-
-    The walks draw from one Philox stream keyed [cfg.seed mod 2^64, start]:
-    batch b is ``rng.random((walknum, stepnum))``, one row per walk, so walk
-    w takes draws w·stepnum to (w+1)·stepnum - 1 and depends only on the
-    seed, the start, w and stepnum. After each batch the visits are counted
-    over all walks so far and the diagnostic runs on them, split into two
-    arrival-order chains (see ``psrf``). The run stops once the value falls
-    inside the convergence window, or after ``cfg.max_batches`` batches with
-    ``converged=False``. An isolated start's walks are [start] and draw nothing.
-
-    This is the one-origin reference definition: ``bva`` runs every origin's
-    walks together (``_converge_together``), and the tests require its
-    results to equal this function's, origin by origin, to the bit.
-    """
-    if cfg.stepnum is None:
-        raise ValueError("stepnum unresolved; set WalkConfig.stepnum")
-    if not (0 <= start < mask.num_nodes):
-        raise ValueError(f"start node {start} not in walk graph")
-    indptr, indices = mask.csr
-    rng = _origin_stream(cfg.seed, start)
-    starts = np.full(cfg.walknum, start, dtype=np.int64)
-    moving = indptr[start + 1] > indptr[start]
-    blocks = []
-    for batches in range(1, cfg.max_batches + 1):
-        blocks.append(_walk_paths(indptr, indices, starts, rng.random((cfg.walknum, cfg.stepnum)))
-                      if moving else starts[:, None])
-        batch = _visit_counts(np.concatenate(blocks))
-        value = psrf(batch)
-        converged = cfg.psrf_low <= value <= cfg.psrf_high
-        if converged or batches == cfg.max_batches:
-            return replace(batch, converged=converged, psrf_value=value, batches=batches)
 
 
 def scale_community_weights(
@@ -290,13 +227,17 @@ def _sparse_psrf(paths: np.ndarray, num_nodes: int):
 
 
 def _converge_together(mask: Graph, starts: np.ndarray, cfg: WalkConfig):
-    """``run_converged_walks`` for every start at once, with the same bits.
+    """Walk from every start in batches until each one's diagnostic settles.
 
-    Round b steps batch b of every start still running with one
-    ``_walk_paths`` call, each start drawing ``rng.random((walknum,
-    stepnum))`` from its own stream, then takes each one's diagnostic over
-    all its walks so far with ``_sparse_psrf``. A start leaves once it
-    converges or after ``cfg.max_batches`` batches.
+    Start s draws from its own Philox stream, keyed [cfg.seed mod 2^64, s]
+    (``_origin_stream``): its batch b is ``rng.random((walknum, stepnum))``,
+    one row per walk, so walk w takes draws w·stepnum to (w+1)·stepnum - 1
+    and is ``random_walk`` on them. An isolated start's walks are [start] and
+    draw nothing. Round b steps batch b of every start still running with one
+    ``_walk_paths`` call, then takes each one's ``psrf`` over all its walks
+    so far, split into two chains in arrival order, with ``_sparse_psrf``. A
+    start leaves once that value is inside [psrf_low, psrf_high], or
+    unconverged after ``cfg.max_batches`` batches.
 
     Returns per start (batches, converged, psrf), then the visit totals as
     (start position, node, visits) rows in ascending start position.
@@ -335,6 +276,17 @@ def _converge_together(mask: Graph, starts: np.ndarray, cfg: WalkConfig):
     return batches, converged, diagnostic, position[order], nodes[order], visits[order]
 
 
+def run_converged_walks(mask: Graph, start: int, cfg: WalkConfig):
+    """``_converge_together`` for one ``start``: (batches, converged, psrf, nodes,
+    visits), with the visited nodes, ascending, and their visits over all walks."""
+    if cfg.stepnum is None:
+        raise ValueError("stepnum unresolved; set WalkConfig.stepnum")
+    if not (0 <= start < mask.num_nodes):
+        raise ValueError(f"start node {start} not in walk graph")
+    batches, converged, value, _, nodes, visits = _converge_together(mask, np.array([start]), cfg)
+    return int(batches[0]), bool(converged[0]), float(value[0]), nodes, visits
+
+
 def bva(
     g: Graph,
     labels: np.ndarray,
@@ -354,11 +306,9 @@ def bva(
     vector. ``normalized`` then divides by the maximum. With no boundary
     node every score is 0 and ``warning`` says why.
 
-    Each origin walks on its own Philox stream, keyed by (seed, origin),
-    and gets exactly what ``run_converged_walks`` gives it alone. The
-    origins walk together, in chunks of ascending id that ``_CHUNK_ENTRIES``
-    bounds (see ``_converge_together``), and their mass is added in
-    ascending id order.
+    The origins walk together (``_converge_together``), each on its own
+    stream, in chunks of ascending id that ``_CHUNK_ENTRIES`` bounds, and
+    their mass is added in ascending id order.
     """
     if cfg.stepnum is None:
         cfg = replace(cfg, stepnum=default_step_count(g.num_nodes))

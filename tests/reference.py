@@ -3,8 +3,12 @@
 Each one is written for clarity, one node or one walk at a time, and
 shares no code with the routine it checks: brute-force betweenness for
 ``centrality.betweenness_brandes``, the per-k top-k set for
-``centrality.rank_overlap``, and the walker's one numpy ``Philox``
-generator per origin, from which the tests draw one walk at a time.
+``centrality.rank_overlap``, the walker's one numpy ``Philox`` generator
+per origin, and ``loop_converged_walks``, the walk-at-a-time definition of
+one origin's converged walks that ``walker.bva`` is held to bit for bit.
+That one builds on the package's one-walk and dense diagnostic
+definitions, ``walker.random_walk`` and ``walker.psrf``, which the tests
+check on their own against exact enumeration and exact arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from boundary_vicinity import Graph
+from boundary_vicinity import Graph, WalkConfig
+from boundary_vicinity.walker import psrf, random_walk
 
 BRUTEFORCE_NODE_LIMIT = 200
 
@@ -89,3 +94,24 @@ def _walk_rng(seed: int, origin: int) -> np.random.Generator:
     """
     key = np.array([seed % (1 << 64), origin], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def loop_converged_walks(mask: Graph, start: int, cfg: WalkConfig):
+    """The walk-at-a-time definition: one random_walk per walk, each in turn
+    from the origin's one generator.
+
+    Returns (visits, nodes, converged, psrf, batches): one visit-count row
+    per walk, in arrival order, over the visited nodes ``nodes``, ascending.
+    """
+    rng = _walk_rng(cfg.seed, start)
+    paths = []
+    for batches in range(1, cfg.max_batches + 1):
+        for _ in range(cfg.walknum):
+            paths.append(random_walk(mask, start, cfg.stepnum, rng))
+        nodes = np.unique(np.concatenate(paths))
+        visits = np.array([np.bincount(p, minlength=mask.num_nodes)[nodes] for p in paths])
+        value = psrf(visits)
+        converged = cfg.psrf_low <= value <= cfg.psrf_high
+        if converged:
+            break
+    return visits, nodes, converged, value, batches

@@ -29,7 +29,7 @@ from boundary_vicinity import (
     rank_overlap,
 )
 from boundary_vicinity.cli import main
-from boundary_vicinity.walker import WalkBatch, psrf, random_walk
+from boundary_vicinity.walker import psrf, random_walk
 from conftest import random_connected_graph
 from reference import betweenness_bruteforce, top_k_nodes
 from test_walker import enumerate_visit_moments
@@ -212,17 +212,15 @@ def test_criterion_5_walker_correctness():
 def test_criterion_6_psrf_formula():
     rng = np.random.default_rng(0)
     group = rng.integers(0, 5, size=(100, 3))
-    identical_groups = WalkBatch(visits=np.vstack([group, group]), nodes=np.arange(3))
-    b_zero = psrf(identical_groups)
+    b_zero = psrf(np.vstack([group, group]))
     b_zero_ok = abs(b_zero - math.sqrt(99 / 100)) <= 1e-12
 
-    constant = WalkBatch(visits=np.tile([2, 1, 0], (40, 1)), nodes=np.arange(3))
-    degenerate = psrf(constant)
+    degenerate = psrf(np.tile([2, 1, 0], (40, 1)))
     degenerate_ok = degenerate == 1.0
 
     low = rng.normal(0.0, 0.01, size=(50, 2))
     high = rng.normal(10.0, 0.01, size=(50, 2))
-    divergent = psrf(WalkBatch(visits=np.vstack([low, high]), nodes=np.arange(2)))
+    divergent = psrf(np.vstack([low, high]))
     divergent_ok = divergent > 1.05
 
     ok = b_zero_ok and degenerate_ok and divergent_ok

@@ -2,11 +2,11 @@
 
 Reference code that only tests call belongs in ``tests/reference.py``. A
 name counts as used when a top-level statement other than its own
-definition, in any package module but ``__init__.py``, reads it as an AST
-``Name`` or ``Attribute`` (a docstring or a bare import does not count), or
-when the benchmark tracer wraps it (``PATCHES`` in ``bench/tracing.py``).
-A name the package exports must be read by the package itself, not only
-wrapped by the tracer.
+definition, in any package module but ``__init__.py``, loads it as an AST
+``Name`` (a docstring, a bare import, an attribute or a field of the same
+name does not count), or when the benchmark tracer wraps it (``PATCHES`` in
+``bench/tracing.py``). A name the package exports must be read by the
+package itself, not only wrapped by the tracer.
 """
 
 import ast
@@ -27,10 +27,8 @@ def unused_definitions(sources: dict[str, str], wrapped: set[str]) -> list[str]:
             if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((module, statement))
             for node in ast.walk(statement):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     readers[node.id].add((module, statement.lineno))
-                elif isinstance(node, ast.Attribute):
-                    readers[node.attr].add((module, statement.lineno))
     # a definition's reads of its own name (recursion) do not count
     return [f"{module}:{node.lineno}: {node.name}" for module, node in defined
             if node.name not in wrapped
@@ -47,7 +45,8 @@ def test_unused_definitions_are_found():
         "b.py": "from .a import used, unused, recursive, Shape\n"
                 '"""unused, recursive"""\n'
                 "used()\n"
-                "side = Shape.side\n",
+                "side = Shape.side\n"
+                "unused = side.unused\n",
     }
     assert unused_definitions(sources, {"traced"}) == ["a.py:5: unused", "a.py:9: recursive"]
 
@@ -63,7 +62,18 @@ def test_every_package_definition_is_used_by_the_package():
     assert not unused, "defined but not used in the package: " + ", ".join(unused)
 
 
+def kept_by_the_tracer_alone() -> set[str]:
+    return {entry.rpartition(": ")[2] for entry in unused_definitions(package_sources(), set())}
+
+
 def test_no_export_is_kept_alive_by_the_tracer_alone():
-    unused = {entry.rpartition(": ")[2] for entry in unused_definitions(package_sources(), set())}
-    exported = sorted(unused & set(boundary_vicinity.__all__))
+    exported = sorted(kept_by_the_tracer_alone() & set(boundary_vicinity.__all__))
     assert not exported, "exported, but the package never reads: " + ", ".join(exported)
+
+
+def test_the_definitions_the_tracer_alone_keeps_are_pinned():
+    """``bva`` never calls these four; only the tracer's wraps keep them in the
+    package. ROADMAP item 1 drops those wraps, and then they may move to
+    ``tests/reference.py``. A new definition that only a wrap keeps fails here."""
+    assert kept_by_the_tracer_alone() == {"subgraph", "random_walk", "psrf",
+                                          "run_converged_walks"}

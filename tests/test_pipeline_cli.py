@@ -290,6 +290,29 @@ def test_pipeline_walks_beyond_memory_exit_1_and_write_nothing(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_memory_errors_outside_the_walk_buffer_end_in_one_line(tmp_path, capsys, monkeypatch):
+    """A failed allocation in Louvain or in the loader is one error line and exit 1,
+    without the walk flags' hint, and nothing is written."""
+    graph = Path(__file__).parent / "data" / "karate.edges"
+    out = tmp_path / "out"
+
+    def refuse(message):
+        def call(*args, **kwargs):
+            raise MemoryError(message)
+        return call
+
+    numpy_message = ("Unable to allocate 2.06 MiB for an array with shape (269982,) "
+                     "and data type float64")
+    monkeypatch.setattr("boundary_vicinity.pipeline.detect_communities", refuse(numpy_message))
+    assert main(["pipeline", "--input", str(graph), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {numpy_message}\n"
+    monkeypatch.setattr("boundary_vicinity.cli.load_edge_list", refuse(""))
+    for command in ("pipeline", "components", "betweenness"):
+        assert main([command, "--input", str(graph), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+    assert not out.exists()
+
+
 def test_pipeline_dot_export(bridge_file, tmp_path):
     out = tmp_path / "out"
     main(["pipeline", "--input", str(bridge_file), "--out", str(out),
@@ -425,6 +448,22 @@ def test_generate_takes_its_seed_mod_2_64(tmp_path, kind):
         assert main(["generate", *kind, "--n", "30", "--seed", seed, "--out", str(out)]) == 0
         written.append(sorted((path.name, path.read_bytes()) for path in out.iterdir()))
     assert written[0] == written[1]
+
+
+def test_generate_warns_of_the_nodes_an_edge_list_cannot_hold(tmp_path, capsys):
+    """A node without an edge is not written; the warning counts them, the exit stays 0."""
+    out = tmp_path / "out"
+    assert main(["generate", "er", "--n", "30", "--p", "0.02", "--seed", "1",
+                 "--out", str(out)]) == 0
+    kept = len(load_edge_list((out / "graph.edges").read_text().splitlines()).names)
+    assert kept < 30
+    assert capsys.readouterr().err == (f"warning: {30 - kept} of 30 nodes have no edge and "
+                                       "are not in graph.edges\n")
+    assert main(["generate", "er", "--n", "30", "--p", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ("warning: 30 of 30 nodes have no edge and are not "
+                                       "in graph.edges\n")
+    assert main(["generate", "er", "--n", "30", "--p", "0.2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_generate_planted_sidecars(tmp_path):

@@ -27,14 +27,13 @@ from boundary_vicinity import (
 )
 from boundary_vicinity import walker
 from boundary_vicinity.walker import (
-    WalkBatch,
     psrf,
     random_walk,
     run_converged_walks,
     scale_community_weights,
 )
 from conftest import neighbors as graph_neighbors
-from reference import _walk_rng
+from reference import _walk_rng, loop_converged_walks
 
 
 def enumerate_visit_moments(mask, start, stepnum):
@@ -128,36 +127,33 @@ def test_walk_sampled_mean_matches_enumeration():
 def test_psrf_identical_groups_b_zero():
     rng = np.random.default_rng(0)
     group = rng.integers(0, 5, size=(100, 3))
-    batch = WalkBatch(visits=np.vstack([group, group]), nodes=np.arange(3))
     n = 100
-    assert psrf(batch) == pytest.approx(np.sqrt((n - 1) / n), abs=1e-12)
+    assert psrf(np.vstack([group, group])) == pytest.approx(np.sqrt((n - 1) / n), abs=1e-12)
 
 
 def test_psrf_all_identical_walks_degenerate_one():
-    batch = WalkBatch(visits=np.tile([1, 2, 0], (40, 1)), nodes=np.arange(3))
-    assert psrf(batch) == 1.0
+    assert psrf(np.tile([1, 2, 0], (40, 1))) == 1.0
 
 
 def test_psrf_divergent_means_explodes():
     rng = np.random.default_rng(1)
     low = rng.normal(0.0, 0.01, size=(50, 2))
     high = rng.normal(10.0, 0.01, size=(50, 2))
-    batch = WalkBatch(visits=np.vstack([low, high]), nodes=np.arange(2))
-    assert psrf(batch) > 1.05
+    assert psrf(np.vstack([low, high])) > 1.05
 
 
 def test_psrf_validates_grouping():
     with pytest.raises(ValueError):
-        psrf(WalkBatch(visits=np.zeros((2, 2)), nodes=np.arange(2)))  # chains of 1
+        psrf(np.zeros((2, 2)))  # chains of 1
 
 
 def test_psrf_leaves_out_odd_trailing_walk():
     visits = np.random.default_rng(2).integers(0, 5, size=(11, 3))
-    value = psrf(WalkBatch(visits=visits, nodes=np.arange(3)))
-    assert value == psrf(WalkBatch(visits=visits[:10], nodes=np.arange(3)))
-    assert value != psrf(WalkBatch(visits=visits[1:], nodes=np.arange(3)))
+    value = psrf(visits)
+    assert value == psrf(visits[:10])
+    assert value != psrf(visits[1:])
     with pytest.raises(ValueError):
-        psrf(WalkBatch(visits=np.zeros((3, 2)), nodes=np.arange(2)))  # chains of 1
+        psrf(np.zeros((3, 2)))  # chains of 1
 
 
 def random_visits(rng, low, high):
@@ -178,13 +174,12 @@ def test_psrf_of_a_column_does_not_depend_on_the_others():
     rng = np.random.default_rng(24)
     for _ in range(300):
         visits = random_visits(rng, 4, 1000)
-        value = psrf(WalkBatch(visits, np.arange(visits.shape[1])))
-        alone = [psrf(WalkBatch(visits[:, [j]], np.arange(1)))
-                 for j in np.flatnonzero(varies_within_chains(visits))]
+        value = psrf(visits)
+        alone = [psrf(visits[:, [j]]) for j in np.flatnonzero(varies_within_chains(visits))]
         assert value == max(alone, default=1.0)
         padded = np.hstack([visits, np.zeros((len(visits), 1), dtype=visits.dtype)])
-        assert psrf(WalkBatch(padded, np.arange(padded.shape[1]))) == value
-        assert psrf(WalkBatch(visits[:, ::-1], np.arange(visits.shape[1]))) == value
+        assert psrf(padded) == value
+        assert psrf(visits[:, ::-1]) == value
 
 
 def exact_psrf(visits):
@@ -214,7 +209,7 @@ def test_psrf_matches_exact_arithmetic():
     for _ in range(400):
         visits = random_visits(rng, 4, 120)
         odd += len(visits) % 2
-        value, exact = psrf(WalkBatch(visits, np.arange(visits.shape[1]))), exact_psrf(visits)
+        value, exact = psrf(visits), exact_psrf(visits)
         if exact is None:
             assert value == 1.0
             continue
@@ -228,76 +223,55 @@ def test_psrf_matches_exact_arithmetic():
 
 def test_converged_walks_isolated_origin_one_batch():
     g = build_graph(2, [])
-    batch = run_converged_walks(g, 0, WalkConfig(walknum=10, stepnum=5, seed=0))
-    assert batch.converged
-    assert batch.batches == 1
-    assert batch.num_walks == 10
-    assert batch.nodes.tolist() == [0]
-    assert batch.visits.tolist() == [[1]] * 10
+    batches, converged, value, nodes, visits = run_converged_walks(
+        g, 0, WalkConfig(walknum=10, stepnum=5, seed=0))
+    assert (batches, converged, value) == (1, True, 1.0)
+    assert nodes.tolist() == [0]
+    assert visits.tolist() == [10]  # ten walks of [0]
 
 
 def test_converged_walks_two_node_deterministic_one_batch():
     g = build_graph(2, [(0, 1)])
-    batch = run_converged_walks(g, 0, WalkConfig(walknum=8, stepnum=3, seed=0))
-    assert batch.converged
-    assert batch.batches == 1
-    assert batch.nodes.tolist() == [0, 1]
-    assert np.all(batch.visits == [2, 2])
+    batches, converged, _, nodes, visits = run_converged_walks(
+        g, 0, WalkConfig(walknum=8, stepnum=3, seed=0))
+    assert converged
+    assert batches == 1
+    assert nodes.tolist() == [0, 1]
+    assert visits.tolist() == [16, 16]  # eight walks of [0, 1, 0, 1]
 
 
-def test_walk_batch_columns_are_the_visited_nodes():
-    # two steps from 0 reach only 0, 1 and 2; nodes 3 to 6 get no column
+def test_visit_totals_cover_the_visited_nodes():
+    # two steps from 0 reach only 0, 1 and 2; nodes 3 to 6 get no row
     g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)])
     cfg = WalkConfig(walknum=8, stepnum=2, seed=11)
-    batch = run_converged_walks(g, 0, cfg)
+    batches, _, _, nodes, visits = run_converged_walks(g, 0, cfg)
     rng = _walk_rng(cfg.seed, 0)
-    paths = [random_walk(g, 0, cfg.stepnum, rng) for _ in range(batch.num_walks)]
-    dense = np.array([np.bincount(p, minlength=g.num_nodes) for p in paths])
-    assert np.all(np.diff(batch.nodes) > 0)
-    assert np.all(batch.visits.sum(axis=0) > 0)
-    assert batch.visits.sum(axis=1).tolist() == [len(p) for p in paths]
-    assert np.array_equal(batch.visits, dense[:, batch.nodes])
-    assert not dense[:, np.setdiff1d(np.arange(g.num_nodes), batch.nodes)].any()
+    paths = [random_walk(g, 0, cfg.stepnum, rng) for _ in range(batches * cfg.walknum)]
+    dense = sum(np.bincount(p, minlength=g.num_nodes) for p in paths)
+    assert nodes.tolist() == np.flatnonzero(dense).tolist() == [0, 1, 2]
+    assert visits.tolist() == dense[nodes].tolist()
 
 
 def test_converged_walks_er_fixed_seed_regression():
     g = erdos_renyi(100, 0.1, seed=5)
     assert len(connected_components(g).components) == 1
     cfg = WalkConfig(walknum=50, stepnum=4, seed=123)
-    batch = run_converged_walks(g, 0, cfg)
-    assert batch.converged
-    assert batch.num_walks == 150  # frozen from the first verified run
+    batches, converged, value, nodes, visits = run_converged_walks(g, 0, cfg)
+    assert converged
+    assert batches * cfg.walknum == 150  # frozen from the first verified run
     again = run_converged_walks(g, 0, cfg)
-    assert again.num_walks == batch.num_walks
-    assert np.array_equal(again.nodes, batch.nodes)
-    assert np.array_equal(again.visits, batch.visits)
+    assert again[:3] == (batches, converged, value)
+    assert np.array_equal(again[3], nodes)
+    assert np.array_equal(again[4], visits)
 
 
 def test_converged_walks_unconverged_is_flagged():
     g = erdos_renyi(100, 0.1, seed=5)
     cfg = WalkConfig(walknum=6, stepnum=4, seed=0, max_batches=2,
                      psrf_low=0.999, psrf_high=1.001)
-    batch = run_converged_walks(g, 0, cfg)
-    assert not batch.converged
-    assert batch.num_walks == 12  # every batch ran, convergence never reached
-    assert batch.batches == 2
-
-
-def loop_converged_walks(mask, start, cfg):
-    """The walk-at-a-time definition: one random_walk per walk, each in turn
-    from the origin's one generator."""
-    rng = _walk_rng(cfg.seed, start)
-    paths = []
-    for batches in range(1, cfg.max_batches + 1):
-        for _ in range(cfg.walknum):
-            paths.append(random_walk(mask, start, cfg.stepnum, rng))
-        nodes = np.unique(np.concatenate(paths))
-        visits = np.array([np.bincount(p, minlength=mask.num_nodes)[nodes] for p in paths])
-        value = psrf(WalkBatch(visits, nodes))
-        converged = cfg.psrf_low <= value <= cfg.psrf_high
-        if converged:
-            break
-    return WalkBatch(visits, nodes, converged, value, batches)
+    batches, converged, _, _, _ = run_converged_walks(g, 0, cfg)
+    assert not converged
+    assert batches == 2  # every batch ran, convergence never reached
 
 
 UNCONVERGED = dict(max_batches=2, psrf_low=0.999, psrf_high=1.001)
@@ -327,29 +301,28 @@ def test_converged_walks_match_walk_at_a_time_definition(cfg):
     mask = community_mask(g, labels)
     assert 60 in bset.boundary_nodes
     for start in bset.boundary_nodes.tolist():
-        batch = run_converged_walks(mask, start, cfg)
-        expected = loop_converged_walks(mask, start, cfg)
-        assert np.array_equal(batch.nodes, expected.nodes)
-        assert np.array_equal(batch.visits, expected.visits)
-        assert (batch.converged, batch.psrf_value, batch.batches) == (
-            expected.converged, expected.psrf_value, expected.batches)
+        batches, converged, value, nodes, visits = run_converged_walks(mask, start, cfg)
+        expected_visits, expected_nodes, *expected = loop_converged_walks(mask, start, cfg)
+        assert np.array_equal(nodes, expected_nodes)
+        assert visits.tolist() == expected_visits.sum(axis=0).tolist()
+        assert [converged, value, batches] == expected
 
 
 def assert_bva_matches_per_origin(g, labels, bset, cfg):
-    """bva equals run_converged_walks run one origin at a time, bit for bit."""
+    """bva equals loop_converged_walks run one origin at a time, bit for bit."""
     mask = community_mask(g, labels)
     sizes = np.bincount(labels)
     raw = np.zeros(g.num_nodes)
     walkers_used, converged, batches, last_psrf = [], [], [], []
     for node in bset.boundary_nodes.tolist():  # ascending, as bva adds them
-        batch = run_converged_walks(mask, node, cfg)
-        per_walker = batch.visits.sum(axis=0) / batch.num_walks
+        visits, nodes, settled, value, used = loop_converged_walks(mask, node, cfg)
+        per_walker = visits.sum(axis=0) / len(visits)
         size = int(sizes[labels[node]])
-        raw[batch.nodes] += scale_community_weights(per_walker, size, g.num_nodes)
-        walkers_used.append(batch.num_walks)
-        converged.append(batch.converged)
-        batches.append(batch.batches)
-        last_psrf.append(batch.psrf_value)
+        raw[nodes] += scale_community_weights(per_walker, size, g.num_nodes)
+        walkers_used.append(len(visits))
+        converged.append(settled)
+        batches.append(used)
+        last_psrf.append(value)
     scores = bva(g, labels, bset, cfg)
     assert scores.raw.tobytes() == raw.tobytes()
     assert scores.walkers_used.tolist() == walkers_used
@@ -384,7 +357,7 @@ def test_bva_rounds_do_not_couple_origins(cfg):
 ], ids=["one-chunk", "chunks-of-1", "chunks-of-3", "entries-of-1"])
 def test_bva_matches_the_per_origin_reference(cfg, chunk_entries, monkeypatch):
     """All origins' walks step together, in chunks of ascending origins, with the
-    bits of each origin's run_converged_walks; the isolated origin 60 among them.
+    bits of each origin's loop_converged_walks; the isolated origin 60 among them.
     With _CHUNK_ENTRIES at 1, each chunk still takes one origin."""
     g, labels, bset = graph_with_isolated_origin()
     entries = cfg.walknum * cfg.max_batches * (cfg.stepnum + 1)  # one origin's at most
@@ -394,6 +367,21 @@ def test_bva_matches_the_per_origin_reference(cfg, chunk_entries, monkeypatch):
         monkeypatch.setattr(walker, "_CHUNK_ENTRIES", chunk_entries(entries))
     scores = assert_bva_matches_per_origin(g, labels, bset, cfg)
     assert scores.walkers_used[bset.boundary_nodes.tolist().index(60)] == cfg.walknum
+
+
+@pytest.mark.parametrize("cfg", [
+    WalkConfig(walknum=5, stepnum=3, seed=4),
+    WalkConfig(walknum=6, stepnum=4, seed=0, **UNCONVERGED),
+])
+def test_run_converged_walks_is_bva_for_one_origin(cfg):
+    """The one-origin name the benchmark tracer wraps gives each boundary node,
+    the isolated origin 60 among them, bva's batches, converged and psrf entries."""
+    g, labels, bset = graph_with_isolated_origin()
+    mask = community_mask(g, labels)
+    assert 60 in bset.boundary_nodes
+    scores = bva(g, labels, bset, cfg)
+    assert [run_converged_walks(mask, start, cfg)[:3] for start in bset.boundary_nodes.tolist()] \
+        == list(zip(scores.batches.tolist(), scores.converged.tolist(), scores.psrf.tolist()))
 
 
 def test_bva_psrf_is_one_when_no_walk_varies():
