@@ -39,7 +39,7 @@ from .pipeline import (
     write_scores_dot,
 )
 from .temporal import DEFAULT_Z_THRESHOLD, bin_events, control_series, detect_spikes
-from .walker import WalkConfig, _converge_together
+from .walker import WalkConfig
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -357,7 +357,10 @@ def cmd_temporal(args) -> int:
         ("boundary_active", boundary_active),
         ("control_active", control_active),
     ):
-        spikes = detect_spikes(counts, z_threshold=args.z_threshold)
+        try:
+            spikes = detect_spikes(counts, z_threshold=args.z_threshold)
+        except ValueError as exc:
+            raise ValueError(f"{args.events}: {exc}") from None
         report["series"][label] = {
             "spike_windows": list(spikes.spike_windows),
             "zscores": [z if math.isfinite(z) else str(z) for z in spikes.zscores],
@@ -418,13 +421,13 @@ def build_parser() -> _Parser:
         p.add_argument("--input", "-i", required=True, help="edge-list file")
         p.add_argument("--out", "-o", default=".", help="output directory")
 
-    def seeded(p):
+    def seeded(p):  # the commands that run Louvain
         common(p)
         p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--q-threshold", type=_finite_float, default=DEFAULT_Q_THRESHOLD)
 
     p = sub.add_parser("pipeline", help="communities, boundary, and walker scores")
     seeded(p)
-    p.add_argument("--q-threshold", type=_finite_float, default=DEFAULT_Q_THRESHOLD)
     _add_walk_flags(p)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; scoring runs on one thread")
@@ -439,7 +442,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("communities", help="community labels CSV + JSON summary")
     seeded(p)
-    p.add_argument("--q-threshold", type=_finite_float, default=DEFAULT_Q_THRESHOLD)
     p.set_defaults(func=cmd_communities)
 
     p = sub.add_parser("boundary", help="boundary edges/nodes from a labels CSV")
@@ -478,7 +480,6 @@ def build_parser() -> _Parser:
     p.add_argument("--events", required=True, help="epoch_seconds,node_id CSV")
     p.add_argument("--window", type=_positive_int, default=60,
                    help="window size in seconds")
-    p.add_argument("--q-threshold", type=_finite_float, default=DEFAULT_Q_THRESHOLD)
     p.add_argument("--z-threshold", type=_finite_float, default=DEFAULT_Z_THRESHOLD)
     p.set_defaults(func=cmd_temporal)
 
@@ -493,17 +494,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except MemoryError as exc:
-        last = exc.__traceback__
-        while last.tb_next:
-            last = last.tb_next
-        # _converge_together's walk buffer holds max_batches × walknum walks per origin
-        hint = ("; lower --walknum, --stepnum or --max-batches"
-                if last.tb_frame.f_code is _converge_together.__code__ else "")
-        print(f"error: {str(exc) or 'out of memory'}{hint}", file=sys.stderr)
+    except (UsageError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -308,7 +308,8 @@ def bva(
 
     The origins walk together (``_converge_together``), each on its own
     stream, in chunks of ascending id that ``_CHUNK_ENTRIES`` bounds, and
-    their mass is added in ascending id order.
+    their mass is added in ascending id order. A MemoryError in the walks
+    comes back with a message that names the walk flags to lower.
     """
     if cfg.stepnum is None:
         cfg = replace(cfg, stepnum=default_step_count(g.num_nodes))
@@ -318,12 +319,17 @@ def bva(
     last_psrf = np.zeros(len(origins))
     sizes = np.bincount(labels)[labels[origins]]
     mask = community_mask(g, labels)
+    mask.csr  # graph-sized, so built before the walks and outside their hint
     raw = np.zeros(g.num_nodes)
     chunk = max(1, _CHUNK_ENTRIES // (cfg.walknum * cfg.max_batches * (cfg.stepnum + 1)))
     for first in range(0, len(origins), chunk):
         part = slice(first, first + chunk)
-        batches[part], converged[part], last_psrf[part], position, nodes, visits = (
-            _converge_together(mask, origins[part], cfg))
+        try:
+            batches[part], converged[part], last_psrf[part], position, nodes, visits = (
+                _converge_together(mask, origins[part], cfg))
+        except MemoryError as exc:  # every array of a round grows with the walk flags
+            raise MemoryError(f"{str(exc) or 'out of memory'}; "
+                              "lower --walknum, --stepnum or --max-batches") from exc
         per_walker = visits / (batches[part][position] * cfg.walknum)
         # rows come in ascending origin order and np.add.at adds them one by one, so
         # each score sums its origins' mass in the order of one origin at a time

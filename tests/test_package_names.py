@@ -77,3 +77,37 @@ def test_the_definitions_the_tracer_alone_keeps_are_pinned():
     ``tests/reference.py``. A new definition that only a wrap keeps fails here."""
     assert kept_by_the_tracer_alone() == {"subgraph", "random_walk", "psrf",
                                           "run_converged_walks"}
+
+
+def reaches_inside(sources: dict[str, str]) -> list[str]:
+    """``module:line: name`` of each import of another module's ``_``-prefixed
+    (not dunder) name, and of each read of a traceback's frames."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source, module)):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{module}:{node.lineno}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+            elif isinstance(node, ast.Attribute) and node.attr in ("__traceback__", "tb_next"):
+                found.append(f"{module}:{node.lineno}: {node.attr}")
+    return found
+
+
+def test_reaches_inside_are_found():
+    source = ("from . import __version__\n"
+              "from .walker import WalkConfig, _converge_together\n"
+              "def main():\n"
+              "    try:\n"
+              "        pass\n"
+              "    except MemoryError as exc:\n"
+              "        last = exc.__traceback__\n"
+              "        last = last.tb_next\n")
+    assert reaches_inside({"cli.py": source}) == [
+        "cli.py:2: _converge_together", "cli.py:7: __traceback__", "cli.py:8: tb_next"]
+
+
+def test_no_module_reaches_inside_another_or_a_traceback():
+    """A module asks another through its public names; an error's meaning is
+    decided where it is raised, not read back from the traceback."""
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert reaches_inside(sources) == []

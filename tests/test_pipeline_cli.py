@@ -313,6 +313,47 @@ def test_memory_errors_outside_the_walk_buffer_end_in_one_line(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, message, shown", [
+    ("_sparse_psrf", "Unable to allocate 40.5 MiB for an array with shape (5313797,) "
+                     "and data type int64", "Unable to allocate 40.5 MiB"),
+    ("_walk_paths", "", "out of memory"),
+], ids=["numpy-message", "no-message"])
+def test_memory_errors_in_the_walk_rounds_name_the_walk_flags(tmp_path, capsys, monkeypatch,
+                                                             name, message, shown):
+    """Every array a walk round allocates grows with the walk flags, however deep
+    the call that asks for it, so each failure there gets their hint."""
+    graph = Path(__file__).parent / "data" / "karate.edges"
+    out = tmp_path / "out"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"boundary_vicinity.walker.{name}", refuse)
+    assert main(["pipeline", "--input", str(graph), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {shown}") and err.count("\n") == 1
+    assert err.endswith("; lower --walknum, --stepnum or --max-batches\n")
+    assert not out.exists()
+
+
+def test_memory_error_building_the_walk_graph_gets_no_walk_hint(tmp_path, capsys,
+                                                                monkeypatch):
+    """The walk graph's arrays grow with the graph, not with the walk flags."""
+    graph = Path(__file__).parent / "data" / "karate.edges"
+    out = tmp_path / "out"
+
+    class Unbuildable:
+        @property
+        def csr(self):
+            raise MemoryError("")
+
+    monkeypatch.setattr("boundary_vicinity.walker.community_mask",
+                        lambda g, labels: Unbuildable())
+    assert main(["pipeline", "--input", str(graph), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not out.exists()
+
+
 def test_pipeline_dot_export(bridge_file, tmp_path):
     out = tmp_path / "out"
     main(["pipeline", "--input", str(bridge_file), "--out", str(out),
@@ -698,6 +739,24 @@ def test_bad_row_read_through_a_pipe_is_named_as_in_a_file(tmp_path, bridge_file
         os.close(read)
 
 
+@pytest.mark.parametrize("command, flag, header, problem", [
+    ("overlap", "--a", "node_id,raw_score,normalized_score", "no score rows found"),
+    ("temporal", "--events", "epoch_seconds,node_id", "no events found"),
+])
+def test_input_of_a_header_alone_exits_2_and_writes_nothing(tmp_path, bridge_file, capsys,
+                                                           command, flag, header, problem):
+    other = tmp_path / "other.csv"
+    other.write_text("0,1\n1,2\n")
+    argv = {"overlap": ["overlap", "--b", str(other)],
+            "temporal": ["temporal", "--input", str(bridge_file)]}[command]
+    rows = tmp_path / "rows.csv"
+    rows.write_text(header + "\n")
+    out = tmp_path / "out"
+    code = main([*argv, flag, str(rows), "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (2, f"error: {rows}: {problem}\n")
+    assert not out.exists()
+
+
 def test_labels_missing_a_node_exit_2(tmp_path, bridge_file, capsys):
     labels = tmp_path / "labels.csv"
     labels.write_text("node_id,community_id\n0,0\n1,0\n2,0\n3,1\n4,1\n")
@@ -731,6 +790,19 @@ def test_temporal_too_few_windows_exits_2_and_writes_nothing(tmp_path, bridge_fi
                  "--window", "100000", "--q-threshold", "0.2", "--out", str(out)])
     assert code == 2
     assert "need at least 5 windows, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_temporal_too_few_windows_names_the_events_file(tmp_path, capsys):
+    graph = tmp_path / "graph.edges"
+    graph.write_text("a b\nb c\nc a\nc d\nd e\ne f\nf d\n")
+    events = tmp_path / "events.csv"
+    events.write_text("1,a\n2,b\n")
+    out = tmp_path / "out"
+    code = main(["temporal", "--input", str(graph), "--events", str(events),
+                 "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: {events}: need at least 5 windows, got 1\n")
     assert not out.exists()
 
 
