@@ -17,11 +17,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .boundary import BoundarySet, boundary_edges
-from .centrality import (
-    OverlapCurve,
-    betweenness_brandes,
-    rank_overlap,
-)
+from .centrality import betweenness_brandes, rank_overlap
 from .community import (
     CommunityLabeling,
     community_mask,
@@ -68,7 +64,6 @@ __all__ = [
     "ComponentPartition",
     "EventSeries",
     "Graph",
-    "OverlapCurve",
     "PipelineResult",
     "PlantedNetwork",
     "SpikeReport",

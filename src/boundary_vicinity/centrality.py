@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -11,14 +10,6 @@ from .graph import Graph
 
 # betweenness_brandes' sources per block times (nodes + CSR entries)
 _BLOCK_ENTRIES = 1 << 17
-
-
-@dataclass(frozen=True)
-class OverlapCurve:
-    """Top-k agreement between two score vectors for each requested k."""
-
-    ks: tuple[int, ...]
-    proportions: tuple[float, ...]
 
 
 def betweenness_brandes(g: Graph) -> np.ndarray:
@@ -119,8 +110,8 @@ def _block_dependencies(
     return delta
 
 
-def rank_overlap(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> OverlapCurve:
-    """Proportion of shared members between the two top-k sets, per k.
+def rank_overlap(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> tuple[float, ...]:
+    """Proportion of shared members between the two top-k sets, one per k of ``ks``.
 
     A top-k set holds the first k node ids in the order of descending
     score, then ascending id. Symmetric in (a, b) and invariant under
@@ -141,7 +132,4 @@ def rank_overlap(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> O
         rank[np.lexsort((np.arange(n), -values))] = np.arange(n)
         ranks.append(rank)
     shared = np.cumsum(np.bincount(np.maximum(*ranks), minlength=n))
-    return OverlapCurve(
-        ks=tuple(int(k) for k in ks),
-        proportions=tuple(int(shared[k - 1]) / k for k in ks),
-    )
+    return tuple(int(shared[k - 1]) / k for k in ks)

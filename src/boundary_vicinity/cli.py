@@ -54,6 +54,8 @@ class _Parser(argparse.ArgumentParser):
             commands = next(a for a in self._actions if a.dest == "command")
             commands.choices[parsed.command].error(
                 f"unrecognized arguments: {' '.join(extra)}")
+        if "seed" in parsed:  # any integer, reduced once: numpy takes no negative seed
+            parsed.seed %= 2**64
         return parsed
 
     def error(self, message):  # argparse defaults to exit code 2
@@ -66,26 +68,29 @@ class UsageError(Exception):
 
 
 @contextmanager
+def _naming(path: str):
+    """Name ``path`` in each input error inside, as ``cannot read`` when it is unreadable."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+@contextmanager
 def _reading(path: str):
-    """The input file at ``path``, open for one read; a read or decode error names it.
+    """The input file at ``path``, open for one read inside ``_naming(path)``.
 
     It is read as UTF-8, and a byte-order mark at its start is dropped.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            yield handle
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with _naming(path), open(path, encoding="utf-8-sig") as handle:
+        yield handle
 
 
 def _load_graph(path: str) -> Graph:
     with _reading(path) as handle:
-        try:
-            return load_edge_list(handle)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        return load_edge_list(handle)
 
 
 def _out_dir(args) -> Path:
@@ -121,11 +126,10 @@ def _read_labels(path: str, g: Graph) -> np.ndarray:
             else:
                 labels[v] = community
                 continue
-            raise ValueError(f"{path}: line {number}: {problem}")
-    labels = np.array(labels)
-    if (labels < 0).any():
-        raise ValueError(f"{path}: does not label every node of the graph")
-    return labels
+            raise ValueError(f"line {number}: {problem}")
+        if -1 in labels:
+            raise ValueError("does not label every node of the graph")
+    return np.array(labels)
 
 
 def _read_scores(path: str) -> dict[str, float]:
@@ -145,12 +149,12 @@ def _read_scores(path: str) -> dict[str, float]:
             if math.isnan(value):
                 if index == 0:
                     continue  # the header
-                raise ValueError(f"{path}: line {number}: no numeric score in {text!r}")
+                raise ValueError(f"line {number}: no numeric score in {text!r}")
             if name in scores:
-                raise ValueError(f"{path}: line {number}: node {name!r} is listed twice")
+                raise ValueError(f"line {number}: node {name!r} is listed twice")
             scores[name] = value
-    if not scores:
-        raise ValueError(f"{path}: no score rows found")
+        if not scores:
+            raise ValueError("no score rows found")
     return scores
 
 
@@ -165,23 +169,23 @@ def _read_events(path: str, g: Graph) -> np.ndarray:
             stamp, _, name = text.partition(",")
             node = by_name.get(name)
             if node is None:
-                raise ValueError(f"{path}: line {number}: unknown node {name!r}")
+                raise ValueError(f"line {number}: unknown node {name!r}")
             numbers.append(number)
             stamps.append(stamp)
             nodes.append(node)
-    if not stamps:
-        raise ValueError(f"{path}: no events found")
-    events = np.empty((len(stamps), 2), dtype=np.int64)
-    try:
-        events[:, 0] = np.array(stamps, dtype=np.int64)
-    except (ValueError, OverflowError):
-        for number, stamp in zip(numbers, stamps):  # failure path: find the first bad stamp
-            try:
-                np.array(stamp, dtype=np.int64)
-            except (ValueError, OverflowError):
-                break
-        raise ValueError(f"{path}: line {number}: "
-                         f"timestamp {stamp!r} is not a 64-bit integer") from None
+        if not stamps:
+            raise ValueError("no events found")
+        events = np.empty((len(stamps), 2), dtype=np.int64)
+        try:
+            events[:, 0] = np.array(stamps, dtype=np.int64)
+        except (ValueError, OverflowError):
+            for number, stamp in zip(numbers, stamps):  # failure path: find the first bad stamp
+                try:
+                    np.array(stamp, dtype=np.int64)
+                except (ValueError, OverflowError):
+                    break
+            raise ValueError(f"line {number}: "
+                             f"timestamp {stamp!r} is not a 64-bit integer") from None
     events[:, 1] = nodes
     return events
 
@@ -287,14 +291,13 @@ def cmd_overlap(args) -> int:
     vec_a = [a[name] for name in names]
     vec_b = [b[name] for name in names]
     ks = args.ks or list(range(1, min(args.max_k, len(names)) + 1))
-    curve = rank_overlap(vec_a, vec_b, ks)
+    proportions = rank_overlap(vec_a, vec_b, ks)
     with open(_out_dir(args) / "overlap.csv", "w") as handle:
-        write_csv(handle, "k,proportion", curve.ks, curve.proportions)
+        write_csv(handle, "k,proportion", ks, proportions)
     return 0
 
 
 def cmd_generate(args) -> int:
-    seed = args.seed % 2**64  # numpy takes no negative seed
     kind = args.part_kind if args.kind == "planted" else args.kind
     param = f"p={args.p}" if kind == "er" else f"m={args.m}"
 
@@ -307,13 +310,13 @@ def cmd_generate(args) -> int:
     try:
         if args.kind == "planted":
             recipe = (f"kind=planted parts={args.parts} part_kind={kind} "
-                      f"n={args.n} {param} k={args.k} seed={seed}")
-            parts = [make(seed * 7919 + i) for i in range(args.parts)]
-            planted = connect_communities(parts, args.k, seed=seed)
+                      f"n={args.n} {param} k={args.k} seed={args.seed}")
+            parts = [make(args.seed * 7919 + i) for i in range(args.parts)]
+            planted = connect_communities(parts, args.k, seed=args.seed)
             g = planted.graph
         else:
-            recipe = f"kind={kind} n={args.n} {param} seed={seed}"
-            g = make(seed)
+            recipe = f"kind={kind} n={args.n} {param} seed={args.seed}"
+            g = make(args.seed)
     except ValueError as exc:  # generate reads no input: its flags are at fault
         raise UsageError(str(exc)) from exc
     out = _out_dir(args)
@@ -338,10 +341,8 @@ def cmd_temporal(args) -> int:
     events = _read_events(args.events, g)
     labeling, _ = detect_all_communities(g, seed=args.seed, q_threshold=args.q_threshold)
     boundary_nodes = boundary_edges(g, labeling.labels).boundary_nodes
-    try:
+    with _naming(args.events):
         series = bin_events(events, args.window)
-    except ValueError as exc:
-        raise ValueError(f"{args.events}: {exc}") from None
     boundary_active = series.actives(boundary_nodes)
     control_active = control_series(series, boundary_nodes, g.num_nodes, seed=args.seed)
     report = {
@@ -357,10 +358,8 @@ def cmd_temporal(args) -> int:
         ("boundary_active", boundary_active),
         ("control_active", control_active),
     ):
-        try:
+        with _naming(args.events):
             spikes = detect_spikes(counts, z_threshold=args.z_threshold)
-        except ValueError as exc:
-            raise ValueError(f"{args.events}: {exc}") from None
         report["series"][label] = {
             "spike_windows": list(spikes.spike_windows),
             "zscores": [z if math.isfinite(z) else str(z) for z in spikes.zscores],

@@ -91,7 +91,7 @@ def test_criterion_2_planted_er_recovery():
         planted, scores, bw = planted_experiment("er", seed)
         top_bva = set(top_k_nodes(scores.raw, 26))
         recoveries.append(len(top_bva & set(planted.planted_boundary)) / 26)
-        overlaps.append(rank_overlap(scores.raw, bw, [26]).proportions[0])
+        overlaps.append(rank_overlap(scores.raw, bw, [26])[0])
     mean_recovery = float(np.mean(recoveries))
     mean_overlap = float(np.mean(overlaps))
     elapsed = time.perf_counter() - start
@@ -117,7 +117,7 @@ def test_criterion_3_karate_peak_property(karate):
         labeling = detect_communities(karate, seed=seed)
         bset = boundary_edges(karate, labeling.labels)
         scores = bva(karate, labeling.labels, bset, WalkConfig(seed=seed))
-        curves.append(rank_overlap(scores.raw, bw, ks).proportions)
+        curves.append(rank_overlap(scores.raw, bw, ks))
         sizes.append(len(bset.boundary_nodes))
         qs.append(labeling.modularity)
     lo = ks.index(5)

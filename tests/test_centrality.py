@@ -195,25 +195,21 @@ def test_boundary_nodes_dominate_bridge_graph(two_triangles_bridged):
 
 
 def test_overlap_identical_rankings():
-    curve = rank_overlap([3.0, 2.0, 1.0], [30.0, 20.0, 10.0], [1, 2, 3])
-    assert curve.proportions == (1.0, 1.0, 1.0)
+    assert rank_overlap([3.0, 2.0, 1.0], [30.0, 20.0, 10.0], [1, 2, 3]) == (1.0, 1.0, 1.0)
 
 
 def test_overlap_disjoint_top2():
-    curve = rank_overlap([4, 3, 1, 1], [1, 1, 4, 3], [2])
-    assert curve.proportions == (0.0,)
+    assert rank_overlap([4, 3, 1, 1], [1, 1, 4, 3], [2]) == (0.0,)
 
 
 def test_overlap_order_within_topk_is_ignored():
-    curve = rank_overlap([4, 3, 2, 1], [3, 4, 1, 2], [2])
-    assert curve.proportions == (1.0,)
+    assert rank_overlap([4, 3, 2, 1], [3, 4, 1, 2], [2]) == (1.0,)
 
 
 def test_overlap_full_k_is_one():
     rng = np.random.default_rng(0)
     a, b = rng.random(10), rng.random(10)
-    curve = rank_overlap(a, b, [10])
-    assert curve.proportions == (1.0,)
+    assert rank_overlap(a, b, [10]) == (1.0,)
 
 
 def test_overlap_symmetric_and_monotone_invariant():
@@ -223,8 +219,8 @@ def test_overlap_symmetric_and_monotone_invariant():
     forward = rank_overlap(a, b, ks)
     backward = rank_overlap(b, a, ks)
     squashed = rank_overlap(np.exp(2 * a), b ** 3 + 7, ks)
-    assert forward.proportions == backward.proportions
-    assert forward.proportions == squashed.proportions
+    assert forward == backward
+    assert forward == squashed
 
 
 def test_overlap_rejects_bad_k():
@@ -245,14 +241,12 @@ def test_overlap_equals_per_k_top_k_sets(seed):
     a = rng.integers(0, 6, size=n).astype(float)
     b = rng.integers(0, 4, size=n) * 0.5
     ks = list(range(1, n + 1))
-    curve = rank_overlap(a.tolist(), b.tolist(), ks)
-    assert curve.ks == tuple(ks)
-    for k, proportion in zip(ks, curve.proportions):
+    proportions = rank_overlap(a.tolist(), b.tolist(), ks)
+    for k, proportion in zip(ks, proportions):
         shared = set(top_k_nodes(a, k)) & set(top_k_nodes(b, k))
         assert proportion == len(shared) / k
     picked = [int(k) for k in rng.integers(1, n + 1, size=4)]
-    assert rank_overlap(a, b, picked).proportions == tuple(
-        curve.proportions[k - 1] for k in picked)
+    assert rank_overlap(a, b, picked) == tuple(proportions[k - 1] for k in picked)
 
 
 def test_top_k_tie_break_by_id():

@@ -193,9 +193,8 @@ def test_overlap_csv_matches_per_row_loop(tmp_path):
     for flags, ks in ((["--max-k", "12"], range(1, 13)), (["--ks", "3,1,30,7"], [3, 1, 30, 7])):
         assert main(["overlap", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
                      *flags, "--out", str(tmp_path)]) == 0
-        curve = rank_overlap(a, b, list(ks))
         expected = "k,proportion\n"
-        for k, proportion in zip(curve.ks, curve.proportions):
+        for k, proportion in zip(ks, rank_overlap(a, b, list(ks))):
             expected += f"{k},{proportion!r}\n"
         assert (tmp_path / "overlap.csv").read_text() == expected
 

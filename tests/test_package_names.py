@@ -111,3 +111,42 @@ def test_no_module_reaches_inside_another_or_a_traceback():
     decided where it is raised, not read back from the traceback."""
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert reaches_inside(sources) == []
+
+
+def input_path_namers(source: str) -> list[str]:
+    """``line: f-string`` of each f-string outside ``_naming`` that names an input
+    file: one that starts with a formatted ``path`` or ``args.events``, or that
+    says ``cannot read``."""
+    found = []
+    for statement in ast.parse(source).body:
+        if getattr(statement, "name", None) == "_naming":
+            continue
+        for node in ast.walk(statement):
+            if not isinstance(node, ast.JoinedStr) or not node.values:
+                continue
+            first = node.values[0]
+            if (isinstance(first, ast.FormattedValue)
+                    and ast.unparse(first.value) in ("path", "args.events")
+                    or any(isinstance(part, ast.Constant) and "cannot read" in part.value
+                           for part in node.values)):
+                found.append((node.lineno, ast.unparse(node)))
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_input_path_namers_are_found():
+    source = ("@contextmanager\n"
+              "def _naming(path):\n"
+              "    raise ValueError(f'cannot read {path}: {exc}')\n"
+              "def read(path, args):\n"
+              "    raise ValueError(f'{path}: line {number}')\n"
+              "    raise ValueError(f'{args.events}: {exc}')\n"
+              "    raise ValueError(f'cannot read {name}')\n"
+              "    raise ValueError(f'files differ: {path} lists {name!r}')\n")
+    assert input_path_namers(source) == [
+        "5: f'{path}: line {number}'", "6: f'{args.events}: {exc}'",
+        "7: f'cannot read {name}'"]
+
+
+def test_only_naming_names_an_input_file_in_an_error():
+    """Which file an input error names is decided in one place, ``cli._naming``."""
+    assert input_path_namers((PACKAGE / "cli.py").read_text()) == []

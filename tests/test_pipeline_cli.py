@@ -559,6 +559,31 @@ def test_temporal_takes_a_negative_seed(tmp_path, bridge_file):
     assert control_column("-1") == control_column(str(2**64 - 1))
 
 
+@pytest.mark.parametrize("command", [
+    ["pipeline", "--input", "{karate}", "--format", "json"],
+    ["communities", "--input", "{karate}"],
+    ["temporal", "--input", "{bridge}", "--events", "{events}", "--q-threshold", "0.2"],
+], ids=["pipeline", "communities", "temporal"])
+def test_a_seed_and_its_value_mod_2_64_write_identical_files(tmp_path, bridge_file, command):
+    """Every command records the reduced seed: ``--seed -1`` writes what 2^64 - 1 writes."""
+    events = tmp_path / "events.csv"
+    events.write_text("".join(f"{t * 7},{t % 6}\n" for t in range(200)))
+    paths = {"karate": Path(__file__).parent / "data" / "karate.edges",
+             "bridge": bridge_file, "events": events}
+    written = []
+    for seed in ("-1", str(2**64 - 1)):
+        out = tmp_path / seed
+        argv = [arg.format(**paths) for arg in command]
+        assert main([*argv, "--seed", seed, "--out", str(out)]) == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        if "manifest.json" in files:
+            manifest = json.loads(files["manifest.json"])
+            del manifest["elapsed_seconds"]
+            files["manifest.json"] = manifest
+        written.append(files)
+    assert written[0] == written[1]
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     assert main([]) == 1
     assert main(["pipeline"]) == 1  # missing --input
@@ -605,6 +630,33 @@ def test_usage_error_exit_code(tmp_path, capsys):
 def test_missing_input_exit_code(tmp_path):
     assert main(["pipeline", "--input", str(tmp_path / "nope.edges"),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("unreadable", ["missing", "directory"])
+@pytest.mark.parametrize("flag", ["components --input", "boundary --labels", "overlap --a",
+                                  "overlap --b", "temporal --events"])
+def test_unreadable_input_named_once_with_exit_2_and_nothing_written(
+        tmp_path, bridge_file, capsys, flag, unreadable):
+    good = tmp_path / "good.csv"
+    good.write_text("0,1\n1,2\n")
+    path = tmp_path / unreadable
+    if unreadable == "directory":
+        path.mkdir()
+    argv = {
+        "components --input": ["components", "--input", path],
+        "boundary --labels": ["boundary", "--input", bridge_file, "--labels", path],
+        "overlap --a": ["overlap", "--a", path, "--b", good],
+        "overlap --b": ["overlap", "--a", good, "--b", path],
+        "temporal --events": ["temporal", "--input", bridge_file, "--events", path],
+    }[flag]
+    out = tmp_path / "out"
+    code = main([*map(str, argv), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot read {path}: ")
+    # one line, and the path prefixes it once: the OSError's own text only quotes it
+    assert err.count("\n") == 1 and err.count(f"{path}: ") == 1
+    assert not out.exists()
 
 
 def test_malformed_input_exit_code(tmp_path):
