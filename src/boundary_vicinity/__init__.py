@@ -45,7 +45,6 @@ from .pipeline import (
 )
 from .temporal import (
     EventSeries,
-    SpikeReport,
     bin_events,
     control_series,
     detect_spikes,
@@ -66,7 +65,6 @@ __all__ = [
     "Graph",
     "PipelineResult",
     "PlantedNetwork",
-    "SpikeReport",
     "VisitScores",
     "WalkConfig",
     "betweenness_brandes",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error or out of memory, 2 unreadable or
-malformed input, 3 scoring finished but too many boundary nodes failed to converge.
+Exit codes: 0 success, 1 usage error or out of memory, 2 unreadable or malformed
+input or an output directory that cannot be made, 3 scoring finished but too
+many boundary nodes failed to converge.
 """
 
 from __future__ import annotations
@@ -68,12 +69,12 @@ class UsageError(Exception):
 
 
 @contextmanager
-def _naming(path: str):
-    """Name ``path`` in each input error inside, as ``cannot read`` when it is unreadable."""
+def _naming(path: str, verb: str = "read"):
+    """Name ``path`` in each error inside, as ``cannot <verb> <path>`` on an OSError."""
     try:
         yield
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:  # strerror leaves out the path that the OSError's text repeats
+        raise ValueError(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -94,9 +95,9 @@ def _load_graph(path: str) -> Graph:
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    with _naming(args.out, "write"):
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    return Path(args.out)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -359,10 +360,10 @@ def cmd_temporal(args) -> int:
         ("control_active", control_active),
     ):
         with _naming(args.events):
-            spikes = detect_spikes(counts, z_threshold=args.z_threshold)
+            spike_windows, zscores = detect_spikes(counts, z_threshold=args.z_threshold)
         report["series"][label] = {
-            "spike_windows": list(spikes.spike_windows),
-            "zscores": [z if math.isfinite(z) else str(z) for z in spikes.zscores],
+            "spike_windows": list(spike_windows),
+            "zscores": [z if math.isfinite(z) else str(z) for z in zscores],
         }
     out = _out_dir(args)
     with open(out / "temporal.csv", "w") as handle:

@@ -305,8 +305,6 @@ def detect_communities(g: Graph, seed: int = 0) -> CommunityLabeling:
 
     Raises ValueError for edgeless graphs, where modularity is undefined.
     """
-    if g.num_nodes < 1:
-        raise ValueError("graph must have at least one node")
     if g.num_edges == 0:
         raise ValueError("community detection is undefined for a graph with no edges")
     rng = np.random.default_rng(seed)

@@ -39,14 +39,6 @@ class EventSeries:
         return np.bincount(windows[first], minlength=self.num_windows)
 
 
-@dataclass(frozen=True)
-class SpikeReport:
-    """Windows whose robust z-score clears the threshold, plus all scores."""
-
-    spike_windows: tuple[int, ...]
-    zscores: tuple[float, ...]
-
-
 def bin_events(events: np.ndarray | Sequence[tuple[int, int]], window_seconds: int) -> EventSeries:
     """Bin (timestamp, node) events into windows ``window_seconds`` wide.
 
@@ -116,9 +108,9 @@ def _median(values: np.ndarray) -> float:
     return float((ordered[middle - 1] + ordered[middle]) / 2)
 
 
-def detect_spikes(series: Sequence[float],
-                  z_threshold: float = DEFAULT_Z_THRESHOLD) -> SpikeReport:
-    """Flag windows deviating above the series baseline by robust z-score.
+def detect_spikes(series: Sequence[float], z_threshold: float = DEFAULT_Z_THRESHOLD
+                  ) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """``(spike_windows, zscores)``: windows clearing ``z_threshold``, ascending; all scores.
 
     The score is (x - median) / (1.4826 * MAD), which the spike itself
     cannot inflate the way a mean/std baseline would. Degenerate rule: when
@@ -136,7 +128,4 @@ def detect_spikes(series: Sequence[float],
     else:
         zscores = (values - median) / (MAD_SCALE * mad)
     spikes = np.flatnonzero(zscores >= z_threshold)
-    return SpikeReport(
-        spike_windows=tuple(int(w) for w in spikes),
-        zscores=tuple(float(z) for z in zscores),
-    )
+    return tuple(int(w) for w in spikes), tuple(float(z) for z in zscores)

@@ -246,10 +246,9 @@ def test_criterion_7_temporal_spike_reproduction():
         for r in range(5):
             events.append((13 * 60 + 1 + (5 * i + r) % 58, b))
     series = bin_events(events, 60)
-    total_spikes = detect_spikes(series.totals, z_threshold=3.0)
-    boundary_spikes = detect_spikes(series.actives(boundary), z_threshold=3.0)
-    same_window = (13 in total_spikes.spike_windows
-                   and 13 in boundary_spikes.spike_windows)
+    total_spikes, _ = detect_spikes(series.totals, z_threshold=3.0)
+    boundary_spikes, _ = detect_spikes(series.actives(boundary), z_threshold=3.0)
+    same_window = 13 in total_spikes and 13 in boundary_spikes
 
     num_nodes = len(boundary) + len(background)
     control_a = control_series(series, boundary, num_nodes, seed=5)
@@ -258,8 +257,8 @@ def test_criterion_7_temporal_spike_reproduction():
     ok = same_window and deterministic
     report(7, ok,
            f"boundary-driven burst window 13 flagged by totals "
-           f"{total_spikes.spike_windows} and boundary actives "
-           f"{boundary_spikes.spike_windows} at z>=3; control series "
+           f"{total_spikes} and boundary actives "
+           f"{boundary_spikes} at z>=3; control series "
            f"deterministic under fixed seed: {deterministic}")
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from boundary_vicinity import (
+    Graph,
     boundary_edges,
     build_graph,
     community,
@@ -93,6 +94,12 @@ def test_modularity_matches_networkx_on_reference_partition(karate):
 def test_modularity_errors_on_edgeless():
     with pytest.raises(ValueError):
         modularity(build_graph(3, []), [0, 1, 2])
+
+
+@pytest.mark.parametrize("labels", [[0, 0], [0, 0, 1, 1]])
+def test_modularity_errors_on_a_label_per_node_mismatch(labels):
+    with pytest.raises(ValueError, match=f"expected 3 labels, got {len(labels)}"):
+        modularity(build_graph(3, [(0, 1), (1, 2)]), labels)
 
 
 def test_modularity_range_on_random_labelings(karate):
@@ -448,6 +455,13 @@ def test_colour_level_matches_node_by_node_reference(kind, karate):
 def test_detect_errors_on_edgeless():
     with pytest.raises(ValueError):
         detect_communities(build_graph(4, []), seed=0)
+
+
+def test_detect_errors_on_a_graph_with_no_nodes():
+    """A graph with no nodes has no edges, so the edgeless error covers it."""
+    empty = Graph(0, np.empty((0, 2), dtype=np.int64), ())
+    with pytest.raises(ValueError, match="undefined for a graph with no edges"):
+        detect_communities(empty, seed=0)
 
 
 def test_mask_excludes_cross_edge(two_triangles_bridged):

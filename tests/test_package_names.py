@@ -150,3 +150,24 @@ def test_input_path_namers_are_found():
 def test_only_naming_names_an_input_file_in_an_error():
     """Which file an input error names is decided in one place, ``cli._naming``."""
     assert input_path_namers((PACKAGE / "cli.py").read_text()) == []
+
+
+def imported_from_modules(source: str) -> list[str]:
+    """Each name an ``__init__.py`` imports from the package's own modules, sorted."""
+    return sorted(alias.asname or alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                  for alias in node.names)
+
+
+def test_imported_from_modules_are_found():
+    source = ("import os\n"
+              "from . import walker\n"
+              "from .graph import Graph, build_graph as build\n"
+              "from numpy import ndarray\n")
+    assert imported_from_modules(source) == ["Graph", "build"]
+
+
+def test_exports_are_the_names_imported_from_the_modules():
+    """A name dropped from ``__all__`` or from the imports, but not both, fails here."""
+    source = (PACKAGE / "__init__.py").read_text()
+    assert sorted(boundary_vicinity.__all__) == imported_from_modules(source)

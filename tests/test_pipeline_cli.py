@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -657,6 +658,30 @@ def test_unreadable_input_named_once_with_exit_2_and_nothing_written(
     # one line, and the path prefixes it once: the OSError's own text only quotes it
     assert err.count("\n") == 1 and err.count(f"{path}: ") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("unreadable, code", [("missing", errno.ENOENT),
+                                              ("directory", errno.EISDIR)])
+def test_unreadable_input_error_gives_the_reason_without_the_path_again(
+        tmp_path, capsys, unreadable, code):
+    path = tmp_path / unreadable
+    if unreadable == "directory":
+        path.mkdir()
+    assert main(["components", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize("below, code", [(False, errno.EEXIST), (True, errno.ENOTDIR)])
+def test_out_that_cannot_be_made_named_with_exit_2_and_nothing_written(
+        tmp_path, bridge_file, capsys, below, code):
+    """An --out that is a regular file, or lies under one, is named as unwritable."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if below else afile
+    assert main(["pipeline", "--input", str(bridge_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(code)}\n"
+    assert sorted(tmp_path.iterdir()) == sorted([afile, bridge_file])
+    assert afile.read_text() == "kept\n"
 
 
 def test_malformed_input_exit_code(tmp_path):

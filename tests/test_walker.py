@@ -230,6 +230,13 @@ def test_converged_walks_isolated_origin_one_batch():
     assert visits.tolist() == [10]  # ten walks of [0]
 
 
+@pytest.mark.parametrize("start", [-1, 2])
+def test_converged_walks_start_must_exist(start):
+    with pytest.raises(ValueError, match=f"start node {start} not in walk graph"):
+        run_converged_walks(build_graph(2, [(0, 1)]), start,
+                            WalkConfig(walknum=8, stepnum=3, seed=0))
+
+
 def test_converged_walks_two_node_deterministic_one_batch():
     g = build_graph(2, [(0, 1)])
     batches, converged, _, nodes, visits = run_converged_walks(
